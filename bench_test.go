@@ -527,8 +527,8 @@ func BenchmarkIncrementalEvaluate(b *testing.B) {
 
 // BenchmarkShardedIncrementalAdd measures the concurrent evaluator's
 // per-response cost under parallel submitters, the regime it exists for —
-// comparable against BenchmarkIncrementalAdd's single-goroutine path
-// because the workload matches it: 10 workers answering every task, so
+// comparable against BenchmarkIncrementalAdd's one-shard, one-submitter
+// path because the workload matches it: 10 workers answering every task, so
 // each Add pays the same pairwise-counter accumulation against up to 9
 // prior responders. A global counter makes every (worker, task) pair
 // unique so every Add is accepted.

@@ -194,40 +194,45 @@ func ExperimentNames() []string { return eval.Experiments() }
 // Streaming evaluation — the incremental form of EvaluateWorkers the
 // paper's conclusion describes: responses are added one at a time and
 // intervals are recomputed on demand without rescanning past responses.
-type Incremental = core.Incremental
+// There is one streaming engine, ShardedIncremental; Incremental names
+// the same type. Add is safe from any number of goroutines at every
+// shard count, and multi-worker evaluations fan out over up to GOMAXPROCS
+// goroutines whatever the shard count.
+type Incremental = core.ShardedIncremental
 
-// NewIncremental returns an empty streaming evaluator for a fixed pool of
-// binary workers. Add is single-goroutine; for concurrent ingestion use
-// NewShardedIncremental.
+// NewIncremental returns an empty one-shard streaming evaluator for a
+// fixed pool of binary workers. Its Add locks, so concurrent ingestion is
+// safe; NewShardedIncremental lets concurrent Adds contend less.
 func NewIncremental(workers int) (*Incremental, error) {
 	return core.NewIncremental(workers)
 }
 
-// ShardedIncremental is the concurrent streaming evaluator: ingestion is
+// ShardedIncremental is the streaming evaluator: ingestion is
 // hash-partitioned into task-stripe shards so Add is safe — and scales —
-// across goroutines, while intervals stay bit-identical to Incremental on
-// the same responses.
+// across goroutines, while intervals stay bit-identical to batch
+// EvaluateWorkers on the same responses at every shard count.
 type ShardedIncremental = core.ShardedIncremental
 
-// NewShardedIncremental returns an empty concurrent streaming evaluator
-// with the given number of task-stripe shards (a shard count around
-// GOMAXPROCS is a good default; see the README's Streaming section).
+// NewShardedIncremental returns an empty streaming evaluator with the
+// given number of task-stripe shards (a shard count around GOMAXPROCS is a
+// good default for concurrent ingestion; see the README's Streaming
+// section).
 func NewShardedIncremental(workers, shards int) (*ShardedIncremental, error) {
 	return core.NewShardedIncremental(workers, shards)
 }
 
-// StreamingEvaluator is the interface both streaming evaluators satisfy;
-// code that only ingests and evaluates can hold this and let the
-// constructor choose the sharding.
+// StreamingEvaluator is the interface the streaming evaluator and the
+// cluster adapter satisfy; code that only ingests and evaluates can hold
+// this and let the constructor choose the sharding.
 type StreamingEvaluator = core.StreamingEvaluator
 
-// IncrementalOptions configures NewStreamingEvaluator; the zero value
-// selects the single-shard evaluator.
+// IncrementalOptions configures NewStreamingEvaluator; its Shards field
+// sets the task-stripe count, and the zero value means one shard.
 type IncrementalOptions = core.IncrementalOptions
 
 // NewStreamingEvaluator returns a streaming evaluator sharded per opts:
-// Shards ≤ 1 gives the single-shard Incremental, anything higher the
-// concurrent ShardedIncremental.
+// max(Shards, 1) task-stripes, Add safe from any number of goroutines
+// either way.
 func NewStreamingEvaluator(workers int, opts IncrementalOptions) (StreamingEvaluator, error) {
 	return core.NewStreaming(workers, opts)
 }
@@ -505,9 +510,10 @@ func NewPool(workers int, policy PoolPolicy) (*Pool, error) {
 	return pool.NewManager(workers, policy)
 }
 
-// NewShardedPool creates a worker pool over the sharded streaming
-// evaluator: Record is safe from any number of goroutines and decisions
-// are identical to NewPool's on the same responses.
+// NewShardedPool creates a worker pool whose streaming evaluator splits
+// ingestion across the given number of task-stripe shards, so concurrent
+// Records contend less; decisions are identical to NewPool's on the same
+// responses.
 func NewShardedPool(workers, shards int, policy PoolPolicy) (*Pool, error) {
 	return pool.NewShardedManager(workers, shards, policy)
 }

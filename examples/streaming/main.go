@@ -5,8 +5,8 @@
 // once — and intervals tighten with every batch; pool decisions fire as
 // soon as the evidence clears a bar, not at the end of the job.
 //
-// Because the sharded evaluator's intervals are bit-identical to the
-// single-shard one's on the same responses, and every batch is fully
+// Because the sharded evaluator's intervals are bit-identical at every
+// shard count on the same responses, and every batch is fully
 // ingested before its review, this prints the same decisions a serial
 // deployment would.
 //

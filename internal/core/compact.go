@@ -46,37 +46,16 @@ func compactFrom(e *StatsExport, s *streamStats) *CompactState {
 }
 
 // CompactCheckpoint snapshots the evaluator in O(statistics) — independent
-// of how many responses were ever ingested. Pair it with a write-ahead log
-// of the post-checkpoint responses (internal/store) and the evaluator is
-// fully recoverable: RestoreCompact rebuilds this exact state, and
-// replaying the log tail through the ordinary Add path finishes the job.
-func (inc *Incremental) CompactCheckpoint() *CompactState {
-	return compactFrom(inc.ExportStats(), inc.streamStats)
-}
-
-// CompactCheckpoint snapshots the sharded evaluator in O(statistics). It
-// holds every shard lock for the duration (the same index-order multi-shard
-// locking Checkpoint uses), so the state is one consistent cut even under
-// concurrent Add traffic.
-func (s *ShardedIncremental) CompactCheckpoint() *CompactState {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range s.shards {
-			sh.mu.Unlock()
-		}
-	}()
-	m := newStreamStats(s.workers)
-	tasks, responses := 0, 0
-	for _, sh := range s.shards {
-		m.addFrom(sh.stats)
-		if sh.tasks > tasks {
-			tasks = sh.tasks
-		}
-		responses += sh.responses
-	}
-	return compactFrom(exportStats(m, s.workers, tasks, responses), m)
+// of how many responses were ever ingested — from one point-in-time cut
+// across the shards, like Checkpoint. Pair it with a write-ahead log of the
+// post-checkpoint responses (internal/store) and the evaluator is fully
+// recoverable: RestoreCompact rebuilds this exact state, and replaying the
+// log tail through the ordinary Add path finishes the job.
+func (s *ShardedIncremental) CompactCheckpoint() (cs *CompactState) {
+	s.cut(func(m *streamStats, _ []map[int][]workerResponse) {
+		cs = compactFrom(exportStats(m), m)
+	})
+	return cs
 }
 
 // validateCompact cross-checks a compact state's internal consistency: the
@@ -176,33 +155,21 @@ func compactLog(cs *CompactState) []LoggedResponse {
 	return log
 }
 
-// restoreCompact rebuilds an empty evaluator from a compact state: validate
-// (including re-deriving every pairwise counter from the bitsets), expand
-// to the canonical synthetic log, replay through the ordinary Add path, and
-// verify the re-exported statistics against the checkpointed ones.
-func restoreCompact(ev restorable, cs *CompactState) error {
+// RestoreCompact rebuilds an empty evaluator from a compact checkpoint:
+// validate (including re-deriving every pairwise counter from the
+// bitsets), expand to the canonical synthetic log, and restore from it as
+// RestoreStats does — replay through the ordinary Add path, then verify the
+// re-exported statistics against the checkpointed ones. After a successful
+// restore the evaluator is decision-identical to the one the checkpoint was
+// taken from: every future Add pairs correctly against pre-checkpoint
+// responders (the bitsets carry who answered what), duplicate rejection
+// resumes exactly, and EvaluateAll / MajorityDisagreement produce
+// bit-identical results. The evaluator must be freshly constructed and not
+// yet serving; on error it may hold a partial replay and must be
+// discarded.
+func (s *ShardedIncremental) RestoreCompact(cs *CompactState) error {
 	if err := validateCompact(cs); err != nil {
 		return err
 	}
-	return restoreStats(ev, cs.Stats, compactLog(cs))
-}
-
-// RestoreCompact rebuilds an empty evaluator from a compact checkpoint.
-// After a successful restore the evaluator is decision-identical to the one
-// the checkpoint was taken from: every future Add pairs correctly against
-// pre-checkpoint responders (the bitsets carry who answered what), duplicate
-// rejection resumes exactly, and EvaluateAll / MajorityDisagreement produce
-// bit-identical results. The evaluator must be freshly constructed; on
-// error it may hold a partial replay and must be discarded.
-func (inc *Incremental) RestoreCompact(cs *CompactState) error {
-	return restoreCompact(inc, cs)
-}
-
-// RestoreCompact rebuilds an empty sharded evaluator from a compact
-// checkpoint; see Incremental.RestoreCompact. The replay runs through the
-// concurrent Add path, so shard striping matches a never-restarted
-// evaluator exactly. Not safe to call concurrently with Add: restore first,
-// then serve.
-func (s *ShardedIncremental) RestoreCompact(cs *CompactState) error {
-	return restoreCompact(s, cs)
+	return s.RestoreStats(cs.Stats, compactLog(cs))
 }

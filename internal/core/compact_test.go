@@ -77,7 +77,7 @@ func TestCompactCheckpointRoundTrip(t *testing.T) {
 	var dupW, dupT = -1, -1
 	for w := 0; w < workers && dupW < 0; w++ {
 		for task := 0; task < tasks; task++ {
-			if orig.responded[w].get(task) {
+			if orig.snapshot().responded[w].get(task) {
 				dupW, dupT = w, task
 				break
 			}
@@ -90,7 +90,7 @@ func TestCompactCheckpointRoundTrip(t *testing.T) {
 	// Post-restore ingestion pairs correctly against pre-checkpoint
 	// responders: keep ingesting into both and compare again.
 	fillEvaluator(t, func(w, task int, r crowd.Response) error {
-		if orig.responded[w].get(task) {
+		if orig.snapshot().responded[w].get(task) {
 			return nil
 		}
 		if err := orig.Add(w, task, r); err != nil {
@@ -140,8 +140,8 @@ func TestCompactCheckpointShardedRoundTrip(t *testing.T) {
 	}
 	requireSameEstimates(t, want, got)
 
-	// Cross-flavour: a compact state from a sharded evaluator restores
-	// into a single-goroutine one with identical decisions.
+	// Cross-flavour: a compact state from a four-shard evaluator restores
+	// into a one-shard one with identical decisions.
 	single, err := NewIncremental(workers)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestRestoreCompactRejectsCorruption(t *testing.T) {
 	}
 	fillEvaluator(t, orig.Add, workers, 100, 4)
 
-	fresh := func() *Incremental {
+	fresh := func() *ShardedIncremental {
 		inc, err := NewIncremental(workers)
 		if err != nil {
 			t.Fatal(err)
@@ -224,7 +224,7 @@ func TestRestoreCompactRejectsCorruption(t *testing.T) {
 // history grows, while the full log checkpoint scales with history.
 func BenchmarkCheckpointCost(b *testing.B) {
 	const workers, tasks = 50, 2000
-	build := func(perTask int) *Incremental {
+	build := func(perTask int) *ShardedIncremental {
 		inc, err := NewIncremental(workers)
 		if err != nil {
 			b.Fatal(err)

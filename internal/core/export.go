@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-
-	"crowdassess/internal/mat"
 )
 
 // StatsExport is the serialization-neutral form of the streaming sufficient
@@ -37,11 +35,12 @@ type StatsExport struct {
 }
 
 // exportStats deep-copies a streamStats into the exported form.
-func exportStats(s *streamStats, workers, tasks, responses int) *StatsExport {
+func exportStats(s *streamStats) *StatsExport {
+	workers := len(s.agree)
 	e := &StatsExport{
 		Workers:   workers,
-		Tasks:     tasks,
-		Responses: responses,
+		Tasks:     s.tasks,
+		Responses: s.responses,
 		Agree:     make([][]int, workers),
 		Common:    make([][]int, workers),
 		Responded: make([][]uint64, workers),
@@ -54,25 +53,14 @@ func exportStats(s *streamStats, workers, tasks, responses int) *StatsExport {
 	return e
 }
 
-// ExportStats snapshots the accumulated sufficient statistics. The caller
-// owns the copy; Add may continue concurrently with uses of the export (but
-// Add itself is single-goroutine on Incremental, so the snapshot must not
-// race with it).
-func (inc *Incremental) ExportStats() *StatsExport {
-	return exportStats(inc.streamStats, inc.workers, inc.tasks, inc.responses)
-}
-
 // ExportStats snapshots the merged sufficient statistics across every
 // shard. Like Evaluate, it reflects each shard's responses as of the moment
-// the lazy merge visited that shard; it is safe to call concurrently with
-// Add and with evaluations.
+// the lazy merge visited that shard, totals included — Responses always
+// counts exactly the responses behind the exported counters and bitsets.
+// It is safe to call concurrently with Add and with evaluations; the
+// caller owns the copy.
 func (s *ShardedIncremental) ExportStats() *StatsExport {
-	// The merged snapshot is immutable once published, so copying it out
-	// needs no locks. Tasks/Responses are read afterwards and may run ahead
-	// of the snapshot — harmless for the streaming semantics, and the
-	// counters themselves are always a consistent per-shard cut.
-	m := s.snapshot()
-	return exportStats(m, s.workers, s.Tasks(), s.Responses())
+	return exportStats(s.snapshot())
 }
 
 // validate checks the structural invariants a well-formed export satisfies.
@@ -120,6 +108,8 @@ func (e *StatsExport) toStreamStats() *streamStats {
 		agree:     e.Agree,
 		common:    e.Common,
 		responded: make([]dynBitset, len(e.Responded)),
+		tasks:     e.Tasks,
+		responses: e.Responses,
 	}
 	for i, words := range e.Responded {
 		s.responded[i] = dynBitset(words)
@@ -131,20 +121,18 @@ func (e *StatsExport) toStreamStats() *streamStats {
 // addFrom reducer the sharded evaluator uses, then evaluates once on the
 // merged counters. It is the coordinator half of a distributed deployment:
 // workers ingest responses for disjoint task sets, export their statistics,
-// and the accumulator's intervals are bit-identical to a single Incremental
-// fed every response — the merge is exact integer addition, and evaluation
-// runs the very same Algorithm A2 code path.
+// and the accumulator's intervals are bit-identical to a single streaming
+// evaluator fed every response — the merge is exact integer addition, and
+// evaluation runs the very same Algorithm A2 solver, solveMany.
 //
-// Merge and the evaluation methods are safe for concurrent use.
+// Merge and the evaluation methods are safe for concurrent use. addFrom
+// mutates the statistics in place, so an evaluation holds the lock for its
+// whole solve; the solve itself fans out over up to GOMAXPROCS goroutines.
 type StatsAccumulator struct {
 	workers int
 
-	mu        sync.Mutex
-	stats     *streamStats
-	tasks     int
-	responses int
-
-	wsPool sync.Pool
+	mu    sync.Mutex
+	stats *streamStats
 }
 
 // NewStatsAccumulator returns an empty accumulator for a crowd of the given
@@ -153,11 +141,7 @@ func NewStatsAccumulator(workers int) (*StatsAccumulator, error) {
 	if workers < 3 {
 		return nil, fmt.Errorf("core: need at least 3 workers, have %d: %w", workers, ErrInsufficientData)
 	}
-	return &StatsAccumulator{
-		workers: workers,
-		stats:   newStreamStats(workers),
-		wsPool:  sync.Pool{New: func() any { return mat.NewWorkspace() }},
-	}, nil
+	return &StatsAccumulator{workers: workers, stats: newStreamStats(workers)}, nil
 }
 
 // Workers returns the crowd size the accumulator is indexed by.
@@ -167,14 +151,14 @@ func (a *StatsAccumulator) Workers() int { return a.workers }
 func (a *StatsAccumulator) Tasks() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.tasks
+	return a.stats.tasks
 }
 
 // Responses returns the total responses over the merged exports.
 func (a *StatsAccumulator) Responses() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.responses
+	return a.stats.responses
 }
 
 // Merge folds one export into the accumulator: counter sums and attendance
@@ -193,10 +177,6 @@ func (a *StatsAccumulator) Merge(e *StatsExport) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.stats.addFrom(e.toStreamStats())
-	if e.Tasks > a.tasks {
-		a.tasks = e.Tasks
-	}
-	a.responses += e.Responses
 	return nil
 }
 
@@ -205,71 +185,27 @@ func (a *StatsAccumulator) Merge(e *StatsExport) error {
 func (a *StatsAccumulator) Export() *StatsExport {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return exportStats(a.stats, a.workers, a.tasks, a.responses)
+	return exportStats(a.stats)
 }
 
 // Evaluate returns the error-rate interval for one worker from the merged
-// statistics. The computation is the exact Algorithm A2 path Incremental
-// runs, so on equal counters the result is bit-identical.
+// statistics, solved on the calling goroutine.
 func (a *StatsAccumulator) Evaluate(worker int, opts EvalOptions) (WorkerEstimate, error) {
-	if err := checkConfidence(opts.Confidence); err != nil {
-		return WorkerEstimate{}, err
-	}
-	if worker < 0 || worker >= a.workers {
-		return WorkerEstimate{}, fmt.Errorf("core: worker %d out of range", worker)
-	}
-	minCommon := opts.MinCommon
-	if minCommon <= 0 {
-		minCommon = 1
-	}
-	// addFrom mutates a.stats in place, so unlike ShardedIncremental's
-	// immutable snapshots the evaluation must hold the lock against a
-	// concurrent Merge.
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ws := a.wsPool.Get().(*mat.Workspace)
-	defer func() {
-		ws.Reset()
-		a.wsPool.Put(ws)
-	}()
-	return finishEstimate(evaluateOne(a.stats, a.workers, worker, opts, minCommon, ws), opts.Confidence), nil
+	return evaluateWorker(a.stats, a.workers, worker, opts)
 }
 
 // EvaluateAll returns intervals for every worker from the merged
 // statistics.
 func (a *StatsAccumulator) EvaluateAll(opts EvalOptions) ([]WorkerEstimate, error) {
-	workers := make([]int, a.workers)
-	for w := range workers {
-		workers[w] = w
-	}
-	return a.EvaluateSubset(workers, opts)
+	return a.EvaluateSubset(allWorkers(a.workers), opts)
 }
 
 // EvaluateSubset returns intervals for the given worker indices, aligned
 // with the input slice.
 func (a *StatsAccumulator) EvaluateSubset(workers []int, opts EvalOptions) ([]WorkerEstimate, error) {
-	if err := checkConfidence(opts.Confidence); err != nil {
-		return nil, err
-	}
-	for _, w := range workers {
-		if w < 0 || w >= a.workers {
-			return nil, fmt.Errorf("core: worker %d out of range", w)
-		}
-	}
-	minCommon := opts.MinCommon
-	if minCommon <= 0 {
-		minCommon = 1
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ws := a.wsPool.Get().(*mat.Workspace)
-	defer func() {
-		ws.Reset()
-		a.wsPool.Put(ws)
-	}()
-	out := make([]WorkerEstimate, len(workers))
-	for i, w := range workers {
-		out[i] = finishEstimate(evaluateOne(a.stats, a.workers, w, opts, minCommon, ws), opts.Confidence)
-	}
-	return out, nil
+	return evaluateWorkers(a.stats, a.workers, workers, opts)
 }

@@ -83,7 +83,7 @@ func TestStatsAccumulatorExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := make([]*Incremental, nodes)
+	parts := make([]*ShardedIncremental, nodes)
 	for i := range parts {
 		if parts[i], err = NewIncremental(workers); err != nil {
 			t.Fatal(err)

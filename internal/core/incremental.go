@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"crowdassess/internal/crowd"
-	"crowdassess/internal/mat"
 )
 
 // streamStats holds the sufficient statistics of the streaming form of
@@ -15,8 +13,9 @@ import (
 // count, so two streamStats built from disjoint response sets merge
 // exactly — addFrom produces the same counters, bit for bit, as feeding
 // the union of the responses into one instance. That additivity is what
-// lets ShardedIncremental split ingestion across shards and still match
-// the single-shard evaluator's intervals exactly.
+// lets ShardedIncremental split ingestion across shards, and a
+// StatsAccumulator merge exports from many machines, and still reproduce
+// the batch intervals exactly.
 type streamStats struct {
 	// agree/common are symmetric pairwise counters.
 	agree  [][]int
@@ -34,6 +33,12 @@ type streamStats struct {
 	// compact.go) resume ingestion exactly without carrying the response
 	// log.
 	answers []dynBitset
+	// tasks is the highest task index seen + 1 and responses the number
+	// of responses behind the counters. They merge with the counters
+	// (max and sum), so a merged cut's totals always describe exactly the
+	// responses its counters and bitsets hold.
+	tasks     int
+	responses int
 }
 
 func newStreamStats(workers int) *streamStats {
@@ -66,6 +71,8 @@ func (s *streamStats) record(w, t int, r crowd.Response, prev []workerResponse) 
 	if r == crowd.Yes {
 		s.answers[w].set(t)
 	}
+	s.responses++
+	s.tasks = max(s.tasks, t+1)
 }
 
 // addFrom accumulates o into s: counter sums and attendance unions. The
@@ -85,9 +92,11 @@ func (s *streamStats) addFrom(o *streamStats) {
 			s.answers[i].orWith(o.answers[i])
 		}
 	}
+	s.tasks = max(s.tasks, o.tasks)
+	s.responses += o.responses
 }
 
-// pair implements agreementSource over the streaming counters.
+// pair implements pairSource over the streaming counters.
 func (s *streamStats) pair(i, j int) crowd.PairStats {
 	if i == j {
 		// Self-agreement, as PairMatrix defines it.
@@ -100,48 +109,9 @@ func (s *streamStats) pair(i, j int) crowd.PairStats {
 	return crowd.PairStats{Common: s.common[i][j], Agree: s.agree[i][j]}
 }
 
-// common3 implements agreementSource over the attendance bitsets.
+// common3 implements pairSource over the attendance bitsets.
 func (s *streamStats) common3(i, j, k int) int {
 	return and3Count(s.responded[i], s.responded[j], s.responded[k])
-}
-
-// Incremental maintains the sufficient statistics of Algorithm A2 online,
-// realizing the paper's closing remark that the method "can be easily
-// modified to be incremental, to keep efficiently updating worker error
-// rates as more tasks get done."
-//
-// Each added response updates pairwise agreement counts against the task's
-// previous responders in O(responders); triple common-task counts are
-// answered from per-worker attendance bitsets. Evaluating a worker then
-// costs the same as the batch algorithm on the accumulated statistics —
-// no response is ever rescanned.
-//
-// Incremental is single-goroutine on the ingestion side: Add mutates
-// unguarded counters. Concurrent ingestion belongs to ShardedIncremental.
-//
-// The zero value is not usable; construct with NewIncremental.
-type Incremental struct {
-	workers   int
-	arity     int
-	tasks     int // highest task index seen + 1
-	responses int // running response count, maintained by Add
-
-	// taskResponses[t] lists (worker, response) pairs for task t.
-	taskResponses map[int][]workerResponse
-	// stats holds the pairwise counters and attendance bitsets.
-	*streamStats
-
-	// wsPool recycles covariance-solve scratch across Evaluate calls.
-	// Evaluate only reads the accumulated statistics, so — as before this
-	// pool existed — concurrent Evaluate calls are safe (each checks out
-	// its own workspace); Add remains single-goroutine (it mutates
-	// unguarded counters).
-	wsPool sync.Pool
-}
-
-type workerResponse struct {
-	worker int
-	resp   crowd.Response
 }
 
 // dynBitset is a growable bitset over task indices.
@@ -186,122 +156,6 @@ func and3Count(a, b, c dynBitset) int {
 	return total
 }
 
-// NewIncremental returns an empty streaming evaluator for the given number
-// of binary workers (arity is fixed at 2: the streaming path wraps
-// Algorithm A2).
-func NewIncremental(workers int) (*Incremental, error) {
-	if workers < 3 {
-		return nil, fmt.Errorf("core: need at least 3 workers, have %d: %w", workers, ErrInsufficientData)
-	}
-	return &Incremental{
-		workers:       workers,
-		arity:         2,
-		taskResponses: make(map[int][]workerResponse),
-		streamStats:   newStreamStats(workers),
-		wsPool:        sync.Pool{New: func() any { return mat.NewWorkspace() }},
-	}, nil
-}
-
-// Workers returns the number of workers tracked.
-func (inc *Incremental) Workers() int { return inc.workers }
-
-// Tasks returns the number of distinct task indices seen.
-func (inc *Incremental) Tasks() int { return inc.tasks }
-
-// Responses returns the total number of responses recorded. It reads a
-// counter maintained by Add, so it is O(1) — pool.Review calls it every
-// batch and must not pay an O(tasks) rescan.
-func (inc *Incremental) Responses() int { return inc.responses }
-
-// Add records worker w's response r on task t. A worker may answer a task
-// only once; duplicate or out-of-range submissions are rejected.
-func (inc *Incremental) Add(w, t int, r crowd.Response) error {
-	if w < 0 || w >= inc.workers {
-		return fmt.Errorf("core: worker %d out of range 0…%d", w, inc.workers-1)
-	}
-	if t < 0 {
-		return fmt.Errorf("core: negative task index %d", t)
-	}
-	if r != crowd.Yes && r != crowd.No {
-		return fmt.Errorf("core: streaming evaluator is binary; response %d: %w", r, crowd.ErrArity)
-	}
-	if inc.responded[w].get(t) {
-		return fmt.Errorf("core: worker %d already answered task %d", w, t)
-	}
-	inc.streamStats.record(w, t, r, inc.taskResponses[t])
-	inc.taskResponses[t] = append(inc.taskResponses[t], workerResponse{w, r})
-	inc.responses++
-	if t+1 > inc.tasks {
-		inc.tasks = t + 1
-	}
-	return nil
-}
-
-// Evaluate returns the current error-rate interval for one worker, from the
-// statistics accumulated so far.
-func (inc *Incremental) Evaluate(worker int, opts EvalOptions) (WorkerEstimate, error) {
-	if err := checkConfidence(opts.Confidence); err != nil {
-		return WorkerEstimate{}, err
-	}
-	if worker < 0 || worker >= inc.workers {
-		return WorkerEstimate{}, fmt.Errorf("core: worker %d out of range", worker)
-	}
-	minCommon := opts.MinCommon
-	if minCommon <= 0 {
-		minCommon = 1
-	}
-	ws := inc.wsPool.Get().(*mat.Workspace)
-	// Deferred so a panic in evaluateOne cannot leak the workspace; Reset
-	// first so a recovered caller never receives a half-mutated arena.
-	defer func() {
-		ws.Reset()
-		inc.wsPool.Put(ws)
-	}()
-	return finishEstimate(evaluateOne(inc, inc.workers, worker, opts, minCommon, ws), opts.Confidence), nil
-}
-
-// EvaluateSubset returns current intervals for the given worker indices,
-// aligned with the input slice. It exists so callers that track
-// eligibility themselves (pool.Manager skips fired workers) don't pay for
-// estimates they will discard.
-func (inc *Incremental) EvaluateSubset(workers []int, opts EvalOptions) ([]WorkerEstimate, error) {
-	if err := checkConfidence(opts.Confidence); err != nil {
-		return nil, err
-	}
-	out := make([]WorkerEstimate, len(workers))
-	for i, w := range workers {
-		est, err := inc.Evaluate(w, opts)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = est
-	}
-	return out, nil
-}
-
-// EvaluateAll returns current intervals for every worker.
-func (inc *Incremental) EvaluateAll(opts EvalOptions) ([]WorkerEstimate, error) {
-	if err := checkConfidence(opts.Confidence); err != nil {
-		return nil, err
-	}
-	out := make([]WorkerEstimate, inc.workers)
-	for w := 0; w < inc.workers; w++ {
-		est, err := inc.Evaluate(w, opts)
-		if err != nil {
-			return nil, err
-		}
-		out[w] = est
-	}
-	return out, nil
-}
-
-// Snapshot materializes the accumulated responses as a Dataset, for
-// interoperability with the batch algorithms (pruning, k-ary analysis,
-// serialization).
-func (inc *Incremental) Snapshot() (*crowd.Dataset, error) {
-	return snapshotDataset(inc.workers, inc.tasks, inc.arity, inc.taskResponses)
-}
-
 // snapshotDataset builds a Dataset from one or more task-response maps
 // (one per shard in the sharded evaluator; the maps' task sets must be
 // disjoint).
@@ -323,13 +177,6 @@ func snapshotDataset(workers, tasks, arity int, responseMaps ...map[int][]worker
 		}
 	}
 	return ds, nil
-}
-
-// MajorityDisagreement mirrors Dataset.MajorityDisagreement on the
-// accumulated responses, so streaming deployments can run the paper's
-// spammer screen without materializing a snapshot.
-func (inc *Incremental) MajorityDisagreement() []float64 {
-	return disagreementRates(inc.DisagreementCounts())
 }
 
 // tallyDisagreement accumulates per-worker attempted/disagree counts over

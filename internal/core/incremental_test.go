@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"crowdassess/internal/crowd"
@@ -11,65 +13,146 @@ import (
 )
 
 // feedDataset streams every response of ds into inc in a scrambled order.
-func feedDataset(t *testing.T, inc *Incremental, ds *crowd.Dataset, seed int64) {
+func feedDataset(t *testing.T, inc *ShardedIncremental, ds *crowd.Dataset, seed int64) {
 	t.Helper()
-	type cell struct{ w, task int }
-	var cells []cell
-	for w := 0; w < ds.Workers(); w++ {
-		for task := 0; task < ds.Tasks(); task++ {
-			if ds.Attempted(w, task) {
-				cells = append(cells, cell{w, task})
-			}
-		}
-	}
-	src := randx.NewSource(seed)
-	src.Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
-	for _, c := range cells {
-		if err := inc.Add(c.w, c.task, ds.Response(c.w, c.task)); err != nil {
+	for _, s := range shuffledStream(t, ds, seed) {
+		if err := inc.Add(s.w, s.t, s.r); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestIncrementalMatchesBatch is the core equivalence property: streaming
-// the responses in any order must reproduce the batch algorithm's intervals
-// exactly.
+// TestIncrementalMatchesBatch is the bit-identity contract of the
+// streaming path: streaming the responses in any order, into any
+// arrangement — one shard, several shards, or a StatsAccumulator over
+// disjoint exports — must reproduce batch EvaluateWorkers exactly (==,
+// deliberately not a tolerance) through every evaluation entry point,
+// against the serial and the Parallel batch run alike. The merges are
+// integer-counter addition and every arrangement solves through
+// solveMany, so any divergence at all is a routing, merge or solver bug.
 func TestIncrementalMatchesBatch(t *testing.T) {
+	type evaluator interface {
+		Evaluate(worker int, opts EvalOptions) (WorkerEstimate, error)
+		EvaluateAll(opts EvalOptions) ([]WorkerEstimate, error)
+		EvaluateSubset(workers []int, opts EvalOptions) ([]WorkerEstimate, error)
+	}
+	const workers, nodes = 8, 3
+	optSets := []EvalOptions{
+		{Confidence: 0.9},
+		{Confidence: 0.9, Weights: UniformWeights},
+		// Pairs share about 150 × 0.65² ≈ 63 tasks, so 60 drops many.
+		{Confidence: 0.8, MinCommon: 60},
+	}
+	subset := []int{5, 0, 3}
 	for seed := int64(0); seed < 5; seed++ {
-		src := randx.NewSource(100 + seed)
-		ds, _, err := sim.Binary{Tasks: 120, Workers: 7, Density: 0.7}.Generate(src)
+		ds, _, err := sim.Binary{Tasks: 150, Workers: workers, Density: 0.65}.Generate(randx.NewSource(300 + seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		inc, err := NewIncremental(7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feedDataset(t, inc, ds, seed)
+		subs := shuffledStream(t, ds, seed)
 
-		opts := EvalOptions{Confidence: 0.9}
-		batch, err := EvaluateWorkers(ds, opts)
+		type arrangement struct {
+			name   string
+			ev     evaluator
+			export *StatsExport
+		}
+		var arrangements []arrangement
+		for _, shards := range []int{1, 2, 7} {
+			s, err := NewShardedIncremental(workers, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sub := range subs {
+				if err := s.Add(sub.w, sub.t, sub.r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			label := fmt.Sprintf("seed %d shards %d", seed, shards)
+			if s.Tasks() != ds.Tasks() || s.Responses() != len(subs) {
+				t.Fatalf("%s: Tasks/Responses %d/%d, want %d/%d", label, s.Tasks(), s.Responses(), ds.Tasks(), len(subs))
+			}
+			if got, want := s.MajorityDisagreement(), ds.MajorityDisagreement(); !slices.Equal(got, want) {
+				t.Errorf("%s: disagreement %v, batch %v", label, got, want)
+			}
+			snap, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for w := 0; w < workers; w++ {
+				for task := 0; task < ds.Tasks(); task++ {
+					if snap.Response(w, task) != ds.Response(w, task) {
+						t.Fatalf("%s: snapshot mismatch at (%d,%d)", label, w, task)
+					}
+				}
+			}
+			arrangements = append(arrangements, arrangement{label, s, s.ExportStats()})
+		}
+		acc, err := NewStatsAccumulator(workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream, err := inc.EvaluateAll(opts)
-		if err != nil {
-			t.Fatal(err)
+		parts := make([]*ShardedIncremental, nodes)
+		for i := range parts {
+			if parts[i], err = NewIncremental(workers); err != nil {
+				t.Fatal(err)
+			}
 		}
-		for w := range batch {
-			if (batch[w].Err == nil) != (stream[w].Err == nil) {
-				t.Fatalf("seed %d worker %d: error mismatch %v vs %v", seed, w, batch[w].Err, stream[w].Err)
+		for _, sub := range subs {
+			if err := parts[sub.t%nodes].Add(sub.w, sub.t, sub.r); err != nil {
+				t.Fatal(err)
 			}
-			if batch[w].Err != nil {
-				continue
+		}
+		for _, p := range parts {
+			if err := acc.Merge(p.ExportStats()); err != nil {
+				t.Fatal(err)
 			}
-			if math.Abs(batch[w].Interval.Lo-stream[w].Interval.Lo) > 1e-12 ||
-				math.Abs(batch[w].Interval.Hi-stream[w].Interval.Hi) > 1e-12 {
-				t.Errorf("seed %d worker %d: batch %v vs stream %v",
-					seed, w, batch[w].Interval, stream[w].Interval)
+		}
+		arrangements = append(arrangements, arrangement{fmt.Sprintf("seed %d accumulator", seed), acc, acc.Export()})
+
+		// Every arrangement holds the same statistics as the one-shard
+		// evaluator, up to bitset capacity.
+		for _, a := range arrangements[1:] {
+			if !a.export.Equal(arrangements[0].export) {
+				t.Errorf("%s: export differs from the one-shard export", a.name)
 			}
-			if batch[w].Triples != stream[w].Triples {
-				t.Errorf("seed %d worker %d: triples %d vs %d", seed, w, batch[w].Triples, stream[w].Triples)
+		}
+
+		for _, opts := range optSets {
+			want, err := EvaluateWorkers(ds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			par := opts
+			par.Parallel = true
+			parallel, err := EvaluateWorkers(ds, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameEstimates(t, fmt.Sprintf("seed %d %+v: Parallel batch", seed, opts), parallel, want)
+			for _, a := range arrangements {
+				label := fmt.Sprintf("%s %+v", a.name, opts)
+				all, err := a.ev.EvaluateAll(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameEstimates(t, label+": EvaluateAll", all, want)
+				one := make([]WorkerEstimate, workers)
+				for w := range one {
+					if one[w], err = a.ev.Evaluate(w, opts); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sameEstimates(t, label+": Evaluate", one, want)
+				// Subset results align with the input order.
+				sub, err := a.ev.EvaluateSubset(subset, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantSub := make([]WorkerEstimate, len(subset))
+				for i, w := range subset {
+					wantSub[i] = want[w]
+				}
+				sameEstimates(t, label+": EvaluateSubset", sub, wantSub)
 			}
 		}
 	}
@@ -123,13 +206,14 @@ func TestIncrementalCounters(t *testing.T) {
 	mustAdd(2, 0, crowd.Yes)
 	mustAdd(0, 1, crowd.Yes)
 	mustAdd(1, 1, crowd.No)
-	if got := inc.pair(0, 1); got.Common != 2 || got.Agree != 1 {
+	m := inc.snapshot()
+	if got := m.pair(0, 1); got.Common != 2 || got.Agree != 1 {
 		t.Errorf("pair(0,1) = %+v", got)
 	}
-	if got := inc.pair(0, 2); got.Common != 1 || got.Agree != 1 {
+	if got := m.pair(0, 2); got.Common != 1 || got.Agree != 1 {
 		t.Errorf("pair(0,2) = %+v", got)
 	}
-	if got := inc.common3(0, 1, 2); got != 1 {
+	if got := m.common3(0, 1, 2); got != 1 {
 		t.Errorf("common3 = %d", got)
 	}
 	if inc.Tasks() != 2 || inc.Responses() != 5 {

@@ -21,7 +21,7 @@ import (
 // agree bit-for-bit entry-wise and to summation-order roundoff (≤ 1e-12
 // relative, tested) in the quadratic form.
 type Lemma4Cov struct {
-	src    agreementSource
+	src    pairSource
 	worker int     // the evaluated worker i
 	pPool  float64 // pooled error-rate estimate p̂_i used inside C(i,·,·)
 
@@ -39,7 +39,7 @@ type Lemma4Cov struct {
 // newLemma4Cov returns an empty covariance for the given worker, its
 // per-triple slices drawn from ws (capacity for up to `capacity` triples);
 // triples are appended with add in the order they were formed.
-func newLemma4Cov(src agreementSource, worker int, pPool float64, capacity int, ws *mat.Workspace) *Lemma4Cov {
+func newLemma4Cov(src pairSource, worker int, pPool float64, capacity int, ws *mat.Workspace) *Lemma4Cov {
 	ints := ws.GetInts(2 * capacity)
 	return &Lemma4Cov{
 		src:    src,

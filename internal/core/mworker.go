@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"crowdassess/internal/crowd"
 	"crowdassess/internal/mat"
@@ -50,9 +51,12 @@ type EvalOptions struct {
 	// to be usable. The paper requires at least one; higher values trade
 	// coverage for stability. Zero means 1.
 	MinCommon int
-	// Parallel evaluates workers on GOMAXPROCS goroutines. Per-worker
-	// evaluations are independent (they share only the read-only statistics
-	// cache), so results are identical to the serial path.
+	// Parallel evaluates workers on GOMAXPROCS goroutines. Only the batch
+	// functions (EvaluateWorkers, EvaluateWorkersDelta) read it; streaming
+	// evaluators and StatsAccumulator always fan a multi-worker query out
+	// over up to GOMAXPROCS goroutines. Per-worker evaluations are
+	// independent (they share only the read-only statistics), so results
+	// are identical to the serial path.
 	Parallel bool
 }
 
@@ -89,14 +93,19 @@ func EvaluateWorkers(ds *crowd.Dataset, opts EvalOptions) ([]WorkerEstimate, err
 	if err != nil {
 		return nil, err
 	}
+	return intervals(deltas, opts.Confidence), nil
+}
+
+// intervals converts solved deltas into interval form at confidence c.
+func intervals(deltas []WorkerDelta, c float64) []WorkerEstimate {
 	out := make([]WorkerEstimate, len(deltas))
 	for i, d := range deltas {
 		out[i] = WorkerEstimate{Worker: d.Worker, Triples: d.Triples, Err: d.Err}
 		if d.Err == nil {
-			out[i].Interval = d.Est.Interval(opts.Confidence).ClampTo(0, 1)
+			out[i].Interval = d.Est.Interval(c).ClampTo(0, 1)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // EvaluateWorkersDelta is EvaluateWorkers without committing to a confidence
@@ -110,61 +119,98 @@ func EvaluateWorkersDelta(ds *crowd.Dataset, opts EvalOptions) ([]WorkerDelta, e
 	if m < 3 {
 		return nil, fmt.Errorf("core: need at least 3 workers, have %d: %w", m, ErrInsufficientData)
 	}
-	minCommon := opts.MinCommon
-	if minCommon <= 0 {
-		minCommon = 1
-	}
-	cache := newFullStatsCache(ds)
-	out := make([]WorkerDelta, m)
+	goroutines := 1
 	if opts.Parallel {
-		// Worker-pool fan-out with one mat.Workspace per goroutine: each
-		// worker index writes only its own slot, so results are identical to
-		// the serial path while the covariance scratch is reused rather than
-		// reallocated per worker.
-		goroutines := runtime.GOMAXPROCS(0)
-		if goroutines > m {
-			goroutines = m
-		}
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ws := mat.NewWorkspace()
-				for i := range next {
-					out[i] = evaluateOne(cache, m, i, opts, minCommon, ws)
-				}
-			}()
-		}
-		for i := 0; i < m; i++ {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-		return out, nil
+		goroutines = min(runtime.GOMAXPROCS(0), m)
 	}
-	ws := mat.NewWorkspace()
-	for i := 0; i < m; i++ {
-		out[i] = evaluateOne(cache, m, i, opts, minCommon, ws)
-	}
-	return out, nil
+	return solveMany(newFullStatsCache(ds), m, allWorkers(m), opts, goroutines), nil
 }
 
-// agreementSource is what Algorithm A2 needs from its statistics provider:
-// pairwise agreement statistics and triple common-task counts. Both the
-// batch cache (fullStatsCache) and the streaming evaluator implement it.
-type agreementSource interface {
-	pairSource
+// workspaces recycles Lemma 5 solve scratch across every A2 evaluation,
+// batch and streaming alike.
+var workspaces = sync.Pool{New: func() any { return mat.NewWorkspace() }}
+
+// solveMany is where every Algorithm A2 evaluation is solved: it runs
+// the listed workers against src on the given number of goroutines
+// (inline when it is 1). Goroutines claim indices from a shared counter, each solving with
+// its own pooled workspace; out[i] belongs to workers[i] and depends only
+// on src, so the result is identical at every goroutine count.
+func solveMany(src pairSource, m int, workers []int, opts EvalOptions, goroutines int) []WorkerDelta {
+	if opts.MinCommon <= 0 {
+		opts.MinCommon = 1
+	}
+	out := make([]WorkerDelta, len(workers))
+	var next atomic.Int64
+	solve := func() {
+		ws := workspaces.Get().(*mat.Workspace)
+		// Deferred so a panic in evaluateOne cannot leak the workspace;
+		// Reset first so the next user never receives a dirty arena.
+		defer func() {
+			ws.Reset()
+			workspaces.Put(ws)
+		}()
+		for i := int(next.Add(1)) - 1; i < len(workers); i = int(next.Add(1)) - 1 {
+			out[i] = evaluateOne(src, m, workers[i], opts, ws)
+		}
+	}
+	if goroutines <= 1 {
+		solve()
+		return out
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			solve()
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
-// evaluateOne runs steps 1–3 of Algorithm A2 for a single worker. ws is
-// the calling goroutine's scratch workspace for the Lemma 5 weight solve;
-// it is rewound here, so nothing handed out by it may outlive the call.
-func evaluateOne(cache agreementSource, m, i int, opts EvalOptions, minCommon int, ws *mat.Workspace) WorkerDelta {
+// evaluateWorkers is the validate-then-solve step behind every streaming
+// and accumulator query: it checks the confidence level and worker range,
+// then solves the listed workers against src over up to GOMAXPROCS
+// goroutines and converts each result to an interval.
+func evaluateWorkers(src pairSource, m int, workers []int, opts EvalOptions) ([]WorkerEstimate, error) {
+	if err := checkConfidence(opts.Confidence); err != nil {
+		return nil, err
+	}
+	for _, w := range workers {
+		if w < 0 || w >= m {
+			return nil, fmt.Errorf("core: worker %d out of range", w)
+		}
+	}
+	return intervals(solveMany(src, m, workers, opts, min(runtime.GOMAXPROCS(0), len(workers))), opts.Confidence), nil
+}
+
+// evaluateWorker is evaluateWorkers for one worker, solved inline.
+func evaluateWorker(src pairSource, m, worker int, opts EvalOptions) (WorkerEstimate, error) {
+	ests, err := evaluateWorkers(src, m, []int{worker}, opts)
+	if err != nil {
+		return WorkerEstimate{}, err
+	}
+	return ests[0], nil
+}
+
+// allWorkers returns the indices 0…m−1.
+func allWorkers(m int) []int {
+	workers := make([]int, m)
+	for w := range workers {
+		workers[w] = w
+	}
+	return workers
+}
+
+// evaluateOne runs steps 1–3 of Algorithm A2 for a single worker, with
+// opts.MinCommon already defaulted. ws is the calling goroutine's scratch
+// workspace for the Lemma 5 weight solve; it is rewound here, so nothing
+// handed out by it may outlive the call.
+func evaluateOne(cache pairSource, m, i int, opts EvalOptions, ws *mat.Workspace) WorkerDelta {
 	ws.Reset()
 	est := WorkerDelta{Worker: i}
-	pairs := formPairs(cache, m, i, opts.Pairing, minCommon)
+	pairs := formPairs(cache, m, i, opts.Pairing, opts.MinCommon)
 	if len(pairs) == 0 {
 		est.Err = fmt.Errorf("core: worker %d has no usable triple: %w", i, ErrInsufficientData)
 		return est
@@ -269,7 +315,7 @@ func evaluateOne(cache agreementSource, m, i int, opts EvalOptions, minCommon in
 // For j = j′ this degenerates to Var(Q_{i,j}) which Lemma 4's diagonal case
 // already covers, but cross-triple sums never hit it since triples are
 // disjoint pairs.
-func lemma4C(cache agreementSource, i, j, jp int, pI float64) float64 {
+func lemma4C(cache pairSource, i, j, jp int, pI float64) float64 {
 	cij := cache.pair(i, j).Common
 	cijp := cache.pair(i, jp).Common
 	if cij == 0 || cijp == 0 {
@@ -285,7 +331,7 @@ func lemma4C(cache agreementSource, i, j, jp int, pI float64) float64 {
 
 // formPairs implements Step 1 of Algorithm A2: split the workers other than
 // i into pairs, each of which will join i to form a triple.
-func formPairs(cache agreementSource, m, i int, strategy PairingStrategy, minCommon int) [][2]int {
+func formPairs(cache pairSource, m, i int, strategy PairingStrategy, minCommon int) [][2]int {
 	// Candidates must share at least minCommon tasks with worker i.
 	var cands []int
 	for w := 0; w < m; w++ {

@@ -5,14 +5,13 @@ import (
 	"sync"
 
 	"crowdassess/internal/crowd"
-	"crowdassess/internal/mat"
 )
 
-// StreamingEvaluator is the contract shared by the single-shard
-// Incremental and the concurrent ShardedIncremental: online ingestion of
-// binary responses plus on-demand Algorithm A2 intervals over everything
-// ingested so far. pool.Manager and the public facade program against this
-// interface so deployments pick their ingestion model by constructor.
+// StreamingEvaluator is the contract of a streaming evaluator: online
+// ingestion of binary responses plus on-demand Algorithm A2 intervals over
+// everything ingested so far. ShardedIncremental implements it locally and
+// dist.ClusterEvaluator across a cluster; pool.Manager and the public
+// facade program against this interface.
 type StreamingEvaluator interface {
 	// Add records worker w's response r on task t.
 	Add(w, t int, r crowd.Response) error
@@ -36,46 +35,57 @@ type StreamingEvaluator interface {
 	Snapshot() (*crowd.Dataset, error)
 }
 
-var (
-	_ StreamingEvaluator = (*Incremental)(nil)
-	_ StreamingEvaluator = (*ShardedIncremental)(nil)
-)
+var _ StreamingEvaluator = (*ShardedIncremental)(nil)
 
 // IncrementalOptions configures NewStreaming.
 type IncrementalOptions struct {
 	// Shards is the number of independent task-stripes ingestion is split
-	// across. 0 or 1 selects the single-shard Incremental (single-goroutine
-	// Add); 2+ selects ShardedIncremental (concurrent Add). Intervals are
-	// identical either way.
+	// across; 0 or 1 means one shard. Add is safe from any number of
+	// goroutines at every shard count, more shards only let concurrent
+	// Adds contend less. Intervals are identical either way.
 	Shards int
 }
 
 // NewStreaming returns a streaming evaluator for the given number of
 // binary workers, sharded per opts.
 func NewStreaming(workers int, opts IncrementalOptions) (StreamingEvaluator, error) {
-	if opts.Shards <= 1 {
-		return NewIncremental(workers)
-	}
-	return NewShardedIncremental(workers, opts.Shards)
+	return NewShardedIncremental(workers, max(opts.Shards, 1))
 }
 
-// ShardedIncremental is the concurrent form of Incremental: the task space
-// is hash-partitioned into N stripes, each owned by a shard with its own
-// lock, agree/common counters, attendance bitsets and mat.Workspace.
-// Because every response for a task lands in exactly one shard, a shard's
-// counters are the exact single-shard statistics of its stripe, and the
-// integer counters are additive across stripes — so ingestion scales with
-// shards while evaluation, which runs on the merged counters, produces
-// bit-identical intervals to Incremental fed the same responses.
+// NewIncremental returns an empty one-shard streaming evaluator for the
+// given number of binary workers: NewShardedIncremental(workers, 1).
+func NewIncremental(workers int) (*ShardedIncremental, error) {
+	return NewShardedIncremental(workers, 1)
+}
+
+// ShardedIncremental maintains the sufficient statistics of Algorithm A2
+// online, realizing the paper's closing remark that the method "can be
+// easily modified to be incremental, to keep efficiently updating worker
+// error rates as more tasks get done."
+//
+// Each added response updates pairwise agreement counts against the task's
+// previous responders in O(responders); triple common-task counts are
+// answered from per-worker attendance bitsets. Evaluating a worker then
+// costs the same as the batch algorithm on the accumulated statistics —
+// no response is ever rescanned.
+//
+// The task space is hash-partitioned into N stripes, each owned by a shard
+// with its own lock, agree/common counters and attendance bitsets. Because
+// every response for a task lands in exactly one shard, a shard's counters
+// are the exact statistics of its stripe, and the integer counters are
+// additive across stripes — so ingestion scales with shards while
+// evaluation, which runs on the merged counters, produces bit-identical
+// intervals at every shard count.
 //
 // Concurrency contract: Add is safe from any number of goroutines (two
-// Adds contend only when their tasks hash to the same shard). Evaluate and
-// EvaluateAll are safe concurrently with Add and with each other; each
-// evaluation works from an immutable merged snapshot that reflects, per
-// shard, every response ingested up to the moment the merge visited that
-// shard. Merges are lazy: each shard carries an epoch advanced by Add, and
-// a snapshot is rebuilt only when some shard's epoch moved — repeated
-// evaluations of a quiescent pool reuse the previous merge.
+// Adds contend only when their tasks hash to the same shard). The
+// evaluation methods are safe concurrently with Add and with each other;
+// each works from an immutable merged snapshot that reflects, per shard,
+// every response ingested up to the moment the merge visited that shard,
+// and fans its solves out over up to GOMAXPROCS goroutines whatever the
+// shard count. Merges are lazy: each shard carries an epoch advanced by
+// Add, and a snapshot is rebuilt only when some shard's epoch moved —
+// repeated evaluations of a quiescent pool reuse the previous merge.
 type ShardedIncremental struct {
 	workers int
 	arity   int
@@ -91,28 +101,25 @@ type ShardedIncremental struct {
 
 // incShard owns one task-stripe of a ShardedIncremental.
 type incShard struct {
-	// mu guards every ingestion field below it.
+	// mu guards every field below it.
 	mu    sync.Mutex
 	epoch uint64 // advanced by every successful Add; drives lazy re-merges
 	// taskResponses[t] lists (worker, response) pairs for task t of this
 	// stripe.
 	taskResponses map[int][]workerResponse
 	stats         *streamStats
-	tasks         int // highest task index seen in this stripe + 1
-	responses     int // running response count for this stripe
-
-	// ws is this shard's evaluation scratch (the PR 2 per-instance
-	// workspace, now per-shard state). Guarded by wsMu, not mu, so a long
-	// covariance solve never blocks ingestion into the shard.
-	wsMu sync.Mutex
-	ws   *mat.Workspace
 }
 
-// NewShardedIncremental returns an empty concurrent streaming evaluator
-// for the given number of binary workers, with ingestion split across the
-// given number of task-stripe shards. One shard behaves like Incremental
-// with a lock around Add. Shard counts beyond GOMAXPROCS buy little; see
-// the README's shard-sizing guidance.
+type workerResponse struct {
+	worker int
+	resp   crowd.Response
+}
+
+// NewShardedIncremental returns an empty streaming evaluator for the given
+// number of binary workers (arity is fixed at 2: the streaming path wraps
+// Algorithm A2), with ingestion split across the given number of
+// task-stripe shards. Shard counts beyond GOMAXPROCS buy little; see the
+// README's shard-sizing guidance.
 func NewShardedIncremental(workers, shards int) (*ShardedIncremental, error) {
 	if workers < 3 {
 		return nil, fmt.Errorf("core: need at least 3 workers, have %d: %w", workers, ErrInsufficientData)
@@ -130,7 +137,6 @@ func NewShardedIncremental(workers, shards int) (*ShardedIncremental, error) {
 		s.shards[i] = &incShard{
 			taskResponses: make(map[int][]workerResponse),
 			stats:         newStreamStats(workers),
-			ws:            mat.NewWorkspace(),
 		}
 	}
 	return s, nil
@@ -158,28 +164,29 @@ func (s *ShardedIncremental) Tasks() int {
 	tasks := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		if sh.tasks > tasks {
-			tasks = sh.tasks
-		}
+		tasks = max(tasks, sh.stats.tasks)
 		sh.mu.Unlock()
 	}
 	return tasks
 }
 
-// Responses returns the total number of responses recorded.
+// Responses returns the total number of responses recorded. It sums
+// counters maintained by Add, so it is O(shards) — pool.Review calls it
+// every batch and must not pay an O(tasks) rescan.
 func (s *ShardedIncremental) Responses() int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		n += sh.responses
+		n += sh.stats.responses
 		sh.mu.Unlock()
 	}
 	return n
 }
 
-// Add records worker w's response r on task t. It is safe to call from any
-// number of goroutines; responses to tasks in different stripes never
-// contend.
+// Add records worker w's response r on task t. A worker may answer a task
+// only once; duplicate or out-of-range submissions are rejected. It is
+// safe to call from any number of goroutines; responses to tasks in
+// different stripes never contend.
 func (s *ShardedIncremental) Add(w, t int, r crowd.Response) error {
 	if w < 0 || w >= s.workers {
 		return fmt.Errorf("core: worker %d out of range 0…%d", w, s.workers-1)
@@ -198,10 +205,6 @@ func (s *ShardedIncremental) Add(w, t int, r crowd.Response) error {
 	}
 	sh.stats.record(w, t, r, sh.taskResponses[t])
 	sh.taskResponses[t] = append(sh.taskResponses[t], workerResponse{w, r})
-	sh.responses++
-	if t+1 > sh.tasks {
-		sh.tasks = t + 1
-	}
 	sh.epoch++
 	return nil
 }
@@ -236,132 +239,79 @@ func (s *ShardedIncremental) snapshot() *streamStats {
 	return m
 }
 
-// Evaluate returns the current error-rate interval for one worker. It uses
-// the workspace of the shard the worker index maps to, so evaluations of
-// workers in different residue classes proceed in parallel.
-func (s *ShardedIncremental) Evaluate(worker int, opts EvalOptions) (WorkerEstimate, error) {
-	if err := checkConfidence(opts.Confidence); err != nil {
-		return WorkerEstimate{}, err
+// cut holds every shard lock (in index order, the only multi-shard locking
+// in the package) and runs fn on a fresh merge of every shard plus the
+// shards' task-response maps, so whatever fn derives — a dataset, a
+// checkpoint — describes one point-in-time set of responses even under
+// concurrent Add traffic. fn must not retain the maps.
+func (s *ShardedIncremental) cut(fn func(m *streamStats, taskMaps []map[int][]workerResponse)) {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
 	}
-	if worker < 0 || worker >= s.workers {
-		return WorkerEstimate{}, fmt.Errorf("core: worker %d out of range", worker)
-	}
-	minCommon := opts.MinCommon
-	if minCommon <= 0 {
-		minCommon = 1
-	}
-	m := s.snapshot()
-	sh := s.shards[worker%len(s.shards)]
-	sh.wsMu.Lock()
 	defer func() {
-		sh.ws.Reset()
-		sh.wsMu.Unlock()
+		for _, sh := range s.shards {
+			sh.mu.Unlock()
+		}
 	}()
-	return finishEstimate(evaluateOne(m, s.workers, worker, opts, minCommon, sh.ws), opts.Confidence), nil
+	m := newStreamStats(s.workers)
+	taskMaps := make([]map[int][]workerResponse, len(s.shards))
+	for i, sh := range s.shards {
+		m.addFrom(sh.stats)
+		taskMaps[i] = sh.taskResponses
+	}
+	fn(m, taskMaps)
 }
 
-// EvaluateAll returns current intervals for every worker, fanning the
-// per-worker evaluations out across the shards' workspaces (one goroutine
-// per shard, capped by the worker count). Per-worker results depend only
-// on the merged snapshot, so the output is identical to evaluating the
-// workers one at a time.
+// Evaluate returns the current error-rate interval for one worker, solved
+// on the calling goroutine.
+func (s *ShardedIncremental) Evaluate(worker int, opts EvalOptions) (WorkerEstimate, error) {
+	return evaluateWorker(s.snapshot(), s.workers, worker, opts)
+}
+
+// EvaluateAll returns current intervals for every worker from one merged
+// snapshot, fanned out over up to GOMAXPROCS goroutines.
 func (s *ShardedIncremental) EvaluateAll(opts EvalOptions) ([]WorkerEstimate, error) {
-	if err := checkConfidence(opts.Confidence); err != nil {
-		return nil, err
-	}
-	workers := make([]int, s.workers)
-	for w := range workers {
-		workers[w] = w
-	}
-	return s.evaluateMany(workers, opts), nil
+	return evaluateWorkers(s.snapshot(), s.workers, allWorkers(s.workers), opts)
 }
 
 // EvaluateSubset returns current intervals for the given worker indices,
 // aligned with the input slice. One snapshot merge serves the whole
 // subset, and only the listed workers are solved.
 func (s *ShardedIncremental) EvaluateSubset(workers []int, opts EvalOptions) ([]WorkerEstimate, error) {
-	if err := checkConfidence(opts.Confidence); err != nil {
-		return nil, err
-	}
-	for _, w := range workers {
-		if w < 0 || w >= s.workers {
-			return nil, fmt.Errorf("core: worker %d out of range", w)
-		}
-	}
-	return s.evaluateMany(workers, opts), nil
+	return evaluateWorkers(s.snapshot(), s.workers, workers, opts)
 }
 
-// evaluateMany solves the listed workers against one merged snapshot,
-// striping them across the shards' workspaces. out[i] belongs to
-// workers[i]; every slot is written by exactly one goroutine.
-func (s *ShardedIncremental) evaluateMany(workers []int, opts EvalOptions) []WorkerEstimate {
-	minCommon := opts.MinCommon
-	if minCommon <= 0 {
-		minCommon = 1
-	}
-	m := s.snapshot()
-	out := make([]WorkerEstimate, len(workers))
-	goroutines := len(s.shards)
-	if goroutines > len(workers) {
-		goroutines = len(workers)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			sh := s.shards[g]
-			sh.wsMu.Lock()
-			defer func() {
-				sh.ws.Reset()
-				sh.wsMu.Unlock()
-			}()
-			for i := g; i < len(workers); i += goroutines {
-				out[i] = finishEstimate(evaluateOne(m, s.workers, workers[i], opts, minCommon, sh.ws), opts.Confidence)
-			}
-		}(g)
-	}
-	wg.Wait()
-	return out
-}
-
-// finishEstimate converts a WorkerDelta into the interval form at the
-// given confidence level.
-func finishEstimate(d WorkerDelta, confidence float64) WorkerEstimate {
-	est := WorkerEstimate{Worker: d.Worker, Triples: d.Triples, Err: d.Err}
-	if d.Err == nil {
-		est.Interval = d.Est.Interval(confidence).ClampTo(0, 1)
-	}
-	return est
-}
-
-// Snapshot materializes the accumulated responses as a Dataset. Like
-// Evaluate, it reflects each shard's responses as of the moment the shard
-// was visited.
-func (s *ShardedIncremental) Snapshot() (*crowd.Dataset, error) {
-	// Hold every shard lock (in index order, the only multi-shard locking
-	// in the package) so the materialized dataset is a point-in-time cut.
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	maps := make([]map[int][]workerResponse, len(s.shards))
-	tasks := 0
-	for i, sh := range s.shards {
-		maps[i] = sh.taskResponses
-		if sh.tasks > tasks {
-			tasks = sh.tasks
-		}
-	}
-	ds, err := snapshotDataset(s.workers, tasks, s.arity, maps...)
-	for _, sh := range s.shards {
-		sh.mu.Unlock()
-	}
+// Snapshot materializes the accumulated responses as a Dataset, for
+// interoperability with the batch algorithms (pruning, k-ary analysis,
+// serialization), from one point-in-time cut across the shards.
+func (s *ShardedIncremental) Snapshot() (ds *crowd.Dataset, err error) {
+	s.cut(func(m *streamStats, taskMaps []map[int][]workerResponse) {
+		ds, err = snapshotDataset(s.workers, m.tasks, s.arity, taskMaps...)
+	})
 	return ds, err
 }
 
-// MajorityDisagreement runs the paper's spammer screen on the accumulated
-// responses. Majorities are per task and each task lives in one stripe, so
-// tallying shard by shard is exact.
+// MajorityDisagreement mirrors Dataset.MajorityDisagreement on the
+// accumulated responses, so streaming deployments can run the paper's
+// spammer screen without materializing a snapshot.
 func (s *ShardedIncremental) MajorityDisagreement() []float64 {
 	return disagreementRates(s.DisagreementCounts())
+}
+
+// DisagreementCounts returns the integer tallies behind
+// MajorityDisagreement: per worker, the number of tasks attempted and the
+// number where the worker disagreed with the task's majority. Unlike the
+// rates, the tallies are additive across disjoint task sets — each task's
+// majority is decided where its responses live — which is what lets the
+// shards here, and a coordinator over per-node tallies, run the paper's
+// spammer screen exactly.
+func (s *ShardedIncremental) DisagreementCounts() (attempted, disagree []int) {
+	attempted = make([]int, s.workers)
+	disagree = make([]int, s.workers)
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		tallyDisagreement(attempted, disagree, sh.taskResponses)
+		sh.mu.Unlock()
+	}
+	return attempted, disagree
 }

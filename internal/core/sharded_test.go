@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -311,25 +312,84 @@ func TestShardedValidation(t *testing.T) {
 	}
 }
 
-// TestStreamingConstructor pins the options-based constructor's dispatch.
+// TestStreamingConstructor pins the options-based constructor's dispatch:
+// every shard setting yields the one streaming engine, at least one shard.
 func TestStreamingConstructor(t *testing.T) {
-	ev, err := NewStreaming(5, IncrementalOptions{})
+	for _, tc := range []struct{ shards, want int }{{-1, 1}, {0, 1}, {1, 1}, {4, 4}} {
+		ev, err := NewStreaming(5, IncrementalOptions{Shards: tc.shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, ok := ev.(*ShardedIncremental)
+		if !ok {
+			t.Fatalf("Shards %d: got %T, want *ShardedIncremental", tc.shards, ev)
+		}
+		if sh.Shards() != tc.want {
+			t.Errorf("Shards %d: Shards() = %d, want %d", tc.shards, sh.Shards(), tc.want)
+		}
+	}
+}
+
+// TestShardedExportConsistentUnderAdd: an export taken while Adds run
+// concurrently must describe one cut — its Responses total equals the
+// responses its attendance bitsets hold, and its Tasks total matches
+// the highest attended task. Run under -race.
+func TestShardedExportConsistentUnderAdd(t *testing.T) {
+	const goroutines = 4
+	ds, _, err := sim.Binary{Tasks: 300, Workers: 6, Density: 0.7}.Generate(randx.NewSource(21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ev.(*Incremental); !ok {
-		t.Errorf("Shards 0: got %T, want *Incremental", ev)
-	}
-	ev, err = NewStreaming(5, IncrementalOptions{Shards: 4})
+	subs := shuffledStream(t, ds, 4)
+	s, err := NewShardedIncremental(6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, ok := ev.(*ShardedIncremental)
-	if !ok {
-		t.Fatalf("Shards 4: got %T, want *ShardedIncremental", ev)
+	var ingest sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		ingest.Add(1)
+		go func(g int) {
+			defer ingest.Done()
+			for i := g; i < len(subs); i += goroutines {
+				if err := s.Add(subs[i].w, subs[i].t, subs[i].r); err != nil {
+					t.Errorf("Add: %v", err)
+					return
+				}
+			}
+		}(g)
 	}
-	if sh.Shards() != 4 {
-		t.Errorf("Shards() = %d", sh.Shards())
+	done := make(chan struct{})
+	go func() {
+		ingest.Wait()
+		close(done)
+	}()
+	for exports := 0; ; exports++ {
+		select {
+		case <-done:
+			if exports == 0 {
+				t.Log("ingest finished before the first export")
+			}
+			e := s.ExportStats()
+			if e.Responses != len(subs) {
+				t.Errorf("final export holds %d responses, want %d", e.Responses, len(subs))
+			}
+			return
+		default:
+		}
+		e := s.ExportStats()
+		held, maxTask := 0, -1
+		for _, words := range e.Responded {
+			for i, word := range words {
+				held += bits.OnesCount64(word)
+				if word != 0 {
+					maxTask = max(maxTask, i*64+63-bits.LeadingZeros64(word))
+				}
+			}
+		}
+		if e.Responses != held || e.Tasks != maxTask+1 {
+			t.Fatalf("export %d claims %d responses over %d tasks, its bitsets hold %d over %d",
+				exports, e.Responses, e.Tasks, held, maxTask+1)
+		}
 	}
 }
 

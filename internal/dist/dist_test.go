@@ -14,7 +14,7 @@ import (
 )
 
 // localReference ingests the stream into a single-process Incremental.
-func localReference(t *testing.T, workers int, subs []submission) *core.Incremental {
+func localReference(t *testing.T, workers int, subs []submission) *core.ShardedIncremental {
 	t.Helper()
 	inc, err := core.NewIncremental(workers)
 	if err != nil {

@@ -56,7 +56,7 @@ func freshReplica(t *testing.T, crowdSize, shards int) (*Worker, *Conn) {
 	return w, conn
 }
 
-func requireEvaluateAllEqual(t *testing.T, label string, coord *Coordinator, local *core.Incremental) {
+func requireEvaluateAllEqual(t *testing.T, label string, coord *Coordinator, local *core.ShardedIncremental) {
 	t.Helper()
 	opts := core.EvalOptions{Confidence: 0.9}
 	want, err := local.EvaluateAll(opts)

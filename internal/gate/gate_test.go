@@ -2,6 +2,7 @@ package gate_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -312,5 +313,77 @@ func TestBackpressureSheddingUnderWedgedBackend(t *testing.T) {
 	defer r.resp.Body.Close()
 	if r.resp.StatusCode != http.StatusOK {
 		t.Errorf("wedged request: status %d, want 200", r.resp.StatusCode)
+	}
+}
+
+// TestUnshardedTenantConcurrentIngest: a tenant that leaves shards unset
+// gets a one-shard evaluator, and /v1/responses:batch handlers run
+// concurrently, so that evaluator's Add must lock. Run under -race with
+// batches and worker queries in flight together; afterwards every
+// response must be counted exactly once.
+func TestUnshardedTenantConcurrentIngest(t *testing.T) {
+	const workers, posters, batches, tasksPerBatch = 6, 8, 12, 4
+	gw, err := gate.New(gate.Options{Tenants: []gate.TenantConfig{
+		{Name: "solo", Token: "tok", Workers: workers},
+	}})
+	if err != nil {
+		t.Fatalf("gate.New: %v", err)
+	}
+
+	stop := make(chan struct{})
+	queried := make(chan struct{})
+	go func() {
+		defer close(queried)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if w := doReq(t, gw, http.MethodGet, "/v1/workers/0", "tok", ""); w.Code != http.StatusOK {
+				t.Errorf("concurrent query: status %d body %s", w.Code, w.Body.String())
+				return
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for p := 0; p < posters; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				var recs []gate.ResponseRec
+				for k := 0; k < tasksPerBatch; k++ {
+					task := (p*batches+b)*tasksPerBatch + k
+					for w := 0; w < workers; w++ {
+						recs = append(recs, gate.ResponseRec{Worker: w, Task: task, Answer: 1 + (w*7+task*3)%2})
+					}
+				}
+				body, err := json.Marshal(gate.IngestRequest{Responses: recs})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				w := doReq(t, gw, http.MethodPost, "/v1/responses:batch", "tok", string(body))
+				var res gate.IngestResult
+				if err := json.Unmarshal(w.Body.Bytes(), &res); w.Code != http.StatusOK || err != nil || res.Ingested != len(recs) {
+					t.Errorf("poster %d batch %d: status %d body %s, want %d ingested", p, b, w.Code, w.Body.String(), len(recs))
+					return
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	close(stop)
+	<-queried
+
+	want := posters * batches * tasksPerBatch
+	for w := 0; w < workers; w++ {
+		var wv gate.WorkerView
+		rec := doReq(t, gw, http.MethodGet, fmt.Sprintf("/v1/workers/%d", w), "tok", "")
+		if err := json.Unmarshal(rec.Body.Bytes(), &wv); err != nil || wv.Responses != want {
+			t.Errorf("worker %d = %s (err %v), want %d responses", w, rec.Body.String(), err, want)
+		}
 	}
 }

@@ -13,8 +13,8 @@
 //
 // Responses stream in via Record; Review applies the policy to the current
 // statistics. The estimator is the streaming form of the paper's
-// Algorithm A2 — single-shard by default (NewManager), sharded for
-// concurrent ingestion (NewShardedManager).
+// Algorithm A2 — one task-stripe shard by default (NewManager), more for
+// less contended concurrent ingestion (NewShardedManager).
 package pool
 
 import (
@@ -140,11 +140,11 @@ type Decision struct {
 }
 
 // Manager tracks the pool. It is built over core.StreamingEvaluator, so
-// the same lifecycle logic runs on the single-shard Incremental
-// (NewManager) and the concurrent ShardedIncremental (NewShardedManager).
+// the same lifecycle logic runs on a local ShardedIncremental at any shard
+// count (NewManager, NewShardedManager) and on a cluster
+// (NewManagerWith).
 //
-// Concurrency: with a sharded evaluator, Record is safe from any number of
-// goroutines. Review and Estimates serialize against each other — and
+// Concurrency: Record is safe from any number of goroutines. Review and Estimates serialize against each other — and
 // against Record, which blocks on the state lock for the duration of the
 // call (merge plus covariance solves), so call Review at batch boundaries,
 // not per response; that stall is the price of decisions computed against
@@ -171,14 +171,14 @@ type Manager struct {
 var ErrFired = errors.New("pool: worker is fired")
 
 // NewManager creates a pool of the given size, all workers on probation,
-// over the single-shard streaming evaluator (single-goroutine Record).
+// over a one-shard streaming evaluator.
 func NewManager(workers int, policy Policy) (*Manager, error) {
 	return newManager(workers, policy, core.IncrementalOptions{})
 }
 
 // NewShardedManager creates a pool whose statistics are sharded across the
-// given number of task-stripes, making Record safe — and fast — from many
-// goroutines at once. Decisions are identical to NewManager's on the same
+// given number of task-stripes (0 or 1 means one), so concurrent Records
+// contend less. Decisions are identical to NewManager's on the same
 // responses.
 func NewShardedManager(workers, shards int, policy Policy) (*Manager, error) {
 	return newManager(workers, policy, core.IncrementalOptions{Shards: shards})
