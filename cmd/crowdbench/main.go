@@ -27,10 +27,12 @@
 // -latency switches to the closed-loop serving-latency benchmark: the
 // submission stream goes through an in-process one-node cluster in
 // concurrent batches, and every coordinator ingest round trip plus a
-// series of full EvaluateAll rounds is timed into internal/obs
-// fixed-bucket histograms. The record carries p50/p95/p99 — the
-// serving-layer latency baseline the ROADMAP asks for, in the same
-// estimator a live crowdd exports on /metrics.
+// series of full EvaluateAll rounds, once at GOMAXPROCS 1
+// (latency/evaluate/serial) and once at the process's own GOMAXPROCS
+// (latency/evaluate), is timed into internal/obs fixed-bucket histograms.
+// The records carry p50/p95/p99 — the serving-layer latency baseline the
+// ROADMAP asks for, in the same estimator a live crowdd exports on
+// /metrics.
 //
 // -dist switches to the distributed-cluster benchmark: for each listed
 // node count it spins up that many in-process dist workers, routes the
@@ -524,17 +526,18 @@ func runDist(nodeList string, shardsPerNode, workers, tasks, goroutines int, see
 }
 
 // latencyEvalRounds is how many EvaluateAll rounds the -latency benchmark
-// times once the stream is ingested: enough samples for a stable p99 of
-// the merged-solve path without dominating the run.
+// times at each GOMAXPROCS once the stream is ingested: enough samples
+// for a stable p99 of the merged-solve path without dominating the run.
 const latencyEvalRounds = 32
 
 // runLatency is the closed-loop serving-latency benchmark the ROADMAP's
 // serving-layer item asks for: it streams the synthetic submission stream
 // through an in-process one-node cluster in concurrent batches, timing
 // every coordinator Ingest round trip, then times latencyEvalRounds full
-// EvaluateAll rounds — both into internal/obs fixed-bucket histograms, the
-// same estimator a live crowdd exports on /metrics, so the committed
-// quantiles and the scraped ones are directly comparable.
+// EvaluateAll rounds at GOMAXPROCS 1 and again at the process's own
+// GOMAXPROCS — all into internal/obs fixed-bucket histograms, the same
+// estimator a live crowdd exports on /metrics, so the committed quantiles
+// and the scraped ones are directly comparable.
 func runLatency(shardsPerNode, workers, tasks, goroutines int, seed int64, quiet bool) ([]benchRecord, error) {
 	goroutines = benchGoroutines(goroutines)
 	subs, err := genSubmissions(workers, tasks, seed)
@@ -555,7 +558,6 @@ func runLatency(shardsPerNode, workers, tasks, goroutines int, seed int64, quiet
 	}
 
 	ingestHist := obs.NewHistogram(nil)
-	evalHist := obs.NewHistogram(nil)
 
 	const batchSize = 256
 	start := time.Now()
@@ -592,15 +594,42 @@ func runLatency(shardsPerNode, workers, tasks, goroutines int, seed int64, quiet
 		}
 	}
 
-	evalStart := time.Now()
-	for i := 0; i < latencyEvalRounds; i++ {
-		t0 := time.Now()
-		if _, err := coord.EvaluateAll(core.EvalOptions{Confidence: 0.9}); err != nil {
+	records := []benchRecord{{
+		Experiment: "latency/ingest",
+		Seconds:    elapsed.Seconds(),
+		Seed:       seed,
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Shards:     shardsPerNode,
+		Goroutines: goroutines,
+		Responses:  len(subs),
+		OpsPerSec:  float64(len(subs)) / elapsed.Seconds(),
+		Samples:    int(ingestHist.Count()),
+		P50:        ingestHist.Quantile(0.5),
+		P95:        ingestHist.Quantile(0.95),
+		P99:        ingestHist.Quantile(0.99),
+	}}
+	if !quiet {
+		fmt.Fprintf(os.Stderr, "crowdbench: latency ingest: %d batches p50=%.4fs p95=%.4fs p99=%.4fs\n",
+			ingestHist.Count(), ingestHist.Quantile(0.5), ingestHist.Quantile(0.95), ingestHist.Quantile(0.99))
+	}
+	// The serial record goes by its own name because benchdiff matches
+	// records by experiment; "latency/evaluate" stays the process's own
+	// GOMAXPROCS, as in series recorded before the serial one existed.
+	for _, evalRun := range []struct {
+		name  string
+		procs int
+	}{{"latency/evaluate/serial", 1}, {"latency/evaluate", runtime.GOMAXPROCS(0)}} {
+		rec, err := timeEvaluate(coord, evalRun.procs)
+		if err != nil {
 			return nil, err
 		}
-		evalHist.Observe(time.Since(t0).Seconds())
+		rec.Experiment, rec.Seed, rec.Shards, rec.Responses = evalRun.name, seed, shardsPerNode, len(subs)
+		records = append(records, rec)
+		if !quiet {
+			fmt.Fprintf(os.Stderr, "crowdbench: %s at GOMAXPROCS=%d: %d rounds p50=%.4fs p99=%.4fs\n",
+				rec.Experiment, rec.GoMaxProcs, rec.Samples, rec.P50, rec.P99)
+		}
 	}
-	evalElapsed := time.Since(evalStart)
 
 	if err := coord.Close(); err != nil {
 		return nil, err
@@ -608,40 +637,31 @@ func runLatency(shardsPerNode, workers, tasks, goroutines int, seed int64, quiet
 	if err := node.Close(); err != nil {
 		return nil, err
 	}
+	return records, nil
+}
 
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "crowdbench: latency ingest: %d batches p50=%.4fs p95=%.4fs p99=%.4fs; evaluate: %d rounds p50=%.4fs p99=%.4fs\n",
-			ingestHist.Count(), ingestHist.Quantile(0.5), ingestHist.Quantile(0.95), ingestHist.Quantile(0.99),
-			evalHist.Count(), evalHist.Quantile(0.5), evalHist.Quantile(0.99))
+// timeEvaluate times latencyEvalRounds coordinator EvaluateAll rounds with
+// GOMAXPROCS set to procs, restoring the previous setting afterwards.
+func timeEvaluate(coord *dist.Coordinator, procs int) (benchRecord, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	hist := obs.NewHistogram(nil)
+	start := time.Now()
+	for i := 0; i < latencyEvalRounds; i++ {
+		t0 := time.Now()
+		if _, err := coord.EvaluateAll(core.EvalOptions{Confidence: 0.9}); err != nil {
+			return benchRecord{}, err
+		}
+		hist.Observe(time.Since(t0).Seconds())
 	}
-	return []benchRecord{
-		{
-			Experiment: "latency/ingest",
-			Seconds:    elapsed.Seconds(),
-			Seed:       seed,
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			Shards:     shardsPerNode,
-			Goroutines: goroutines,
-			Responses:  len(subs),
-			OpsPerSec:  float64(len(subs)) / elapsed.Seconds(),
-			Samples:    int(ingestHist.Count()),
-			P50:        ingestHist.Quantile(0.5),
-			P95:        ingestHist.Quantile(0.95),
-			P99:        ingestHist.Quantile(0.99),
-		},
-		{
-			Experiment: "latency/evaluate",
-			Seconds:    evalElapsed.Seconds(),
-			Seed:       seed,
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			Shards:     shardsPerNode,
-			Responses:  len(subs),
-			OpsPerSec:  float64(latencyEvalRounds) / evalElapsed.Seconds(),
-			Samples:    int(evalHist.Count()),
-			P50:        evalHist.Quantile(0.5),
-			P95:        evalHist.Quantile(0.95),
-			P99:        evalHist.Quantile(0.99),
-		},
+	elapsed := time.Since(start)
+	return benchRecord{
+		Seconds:    elapsed.Seconds(),
+		GoMaxProcs: procs,
+		OpsPerSec:  float64(latencyEvalRounds) / elapsed.Seconds(),
+		Samples:    int(hist.Count()),
+		P50:        hist.Quantile(0.5),
+		P95:        hist.Quantile(0.95),
+		P99:        hist.Quantile(0.99),
 	}, nil
 }
 

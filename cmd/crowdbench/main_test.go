@@ -2,6 +2,7 @@ package main
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -75,5 +76,31 @@ func TestValidateCounts(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.flag) {
 			t.Errorf("%s: err = %v, want an error naming %s", c.name, err, c.flag)
 		}
+	}
+}
+
+// TestRunLatencyRecordsBothGOMAXPROCS checks that -latency emits the
+// evaluate rounds at GOMAXPROCS 1 and at the process's own setting under
+// distinct experiment names, and restores GOMAXPROCS afterwards.
+func TestRunLatencyRecordsBothGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	records, err := runLatency(1, 9, 200, 2, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]int)
+	for _, r := range records {
+		got[r.Experiment] = r.GoMaxProcs
+		if r.Samples == 0 {
+			t.Errorf("%s: no samples", r.Experiment)
+		}
+	}
+	want := map[string]int{"latency/ingest": 2, "latency/evaluate/serial": 1, "latency/evaluate": 2}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("records (experiment → gomaxprocs) = %v, want %v", got, want)
+	}
+	if n := runtime.GOMAXPROCS(0); n != 2 {
+		t.Errorf("GOMAXPROCS after runLatency = %d, want 2 restored", n)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"crowdassess/internal/mat"
+	"crowdassess/internal/randx"
+	"crowdassess/internal/sim"
 )
 
 // Allocation-regression tests for the zero-allocation spectral pipeline:
@@ -81,4 +83,32 @@ func TestLemma4QuadZeroAllocs(t *testing.T) {
 		t.Errorf("Lemma-4 quad form allocates %.1f times, want 0", allocs)
 	}
 	_ = sink
+}
+
+// TestEvaluateOneAllocsIndependentOfTriples asserts that one worker's A2
+// solve allocates a fixed number of times however many triples it
+// aggregates: the per-triple statistics and their 3×3 covariance reuse
+// workspace scratch, so 16 and 64 workers (7 and 31 triples) cost the same.
+func TestEvaluateOneAllocsIndependentOfTriples(t *testing.T) {
+	allocs := make(map[int]float64)
+	for _, m := range []int{16, 64} {
+		rates := make([]float64, m)
+		for w := range rates {
+			rates[w] = 0.1
+		}
+		ds, _, err := sim.Binary{Tasks: 1000, Workers: m, Density: 0.9, ErrorRates: rates}.Generate(randx.NewSource(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := newSolveStats(newFullStatsCache(ds), m, false, 1)
+		ws := mat.NewWorkspace()
+		opts := EvalOptions{Confidence: 0.9, MinCommon: 1}
+		if est := evaluateOne(v, 0, opts, ws); est.Err != nil || est.Triples != (m-1)/2 {
+			t.Fatalf("m=%d: %d triples, err %v; want %d triples", m, est.Triples, est.Err, (m-1)/2)
+		}
+		allocs[m] = testing.AllocsPerRun(20, func() { evaluateOne(v, 0, opts, ws) })
+	}
+	if allocs[64] != allocs[16] {
+		t.Errorf("evaluateOne allocates %.0f times at 16 workers and %.0f at 64, want equal", allocs[16], allocs[64])
+	}
 }

@@ -114,6 +114,9 @@ func (s *streamStats) common3(i, j, k int) int {
 	return and3Count(s.responded[i], s.responded[j], s.responded[k])
 }
 
+// attendance implements statsSource: the ragged responded bitsets.
+func (s *streamStats) attendance(w int) []uint64 { return s.responded[w] }
+
 // dynBitset is a growable bitset over task indices.
 type dynBitset []uint64
 

@@ -10,10 +10,10 @@ import (
 // of per-triple error-rate estimates (Lemma 4). Its entries are fully
 // determined by O(l + m) inputs — each triple's delta-method variance and
 // own-pair gradients, the evaluated worker's pooled error rate, and the
-// pairwise agreement statistics already cached for the whole dataset — so
-// the quadratic form dᵀΣd of the delta method (Theorem 1) is evaluated
-// directly from those inputs and the dense matrix is never materialized on
-// the estimation path. (The Lemma 5 weight solve still needs an explicit
+// query's solveStats (flat pair arrays and triple counts) — so the
+// quadratic form dᵀΣd of the delta method (Theorem 1) is evaluated directly
+// from those inputs and the dense matrix is never materialized on the
+// estimation path. (The Lemma 5 weight solve still needs an explicit
 // matrix; MaterializeInto writes it into caller-owned workspace scratch.)
 //
 // Entry values are computed by exactly the arithmetic the dense
@@ -21,7 +21,7 @@ import (
 // agree bit-for-bit entry-wise and to summation-order roundoff (≤ 1e-12
 // relative, tested) in the quadratic form.
 type Lemma4Cov struct {
-	src    pairSource
+	stats  *solveStats
 	worker int     // the evaluated worker i
 	pPool  float64 // pooled error-rate estimate p̂_i used inside C(i,·,·)
 
@@ -30,19 +30,19 @@ type Lemma4Cov struct {
 	j1, j2 []int     // the triple's partner workers
 
 	// dense caches the materialized matrix once Materialize has run: each
-	// entry costs four popcount-backed cache lookups, so after the Lemma 5
-	// solve has forced materialization anyway, Quad reads the cache instead
-	// of regenerating entries. Entries are identical either way.
+	// entry sums four Lemma 4 terms, so after the Lemma 5 solve has forced
+	// materialization anyway, Quad reads the cache instead of regenerating
+	// entries. Entries are identical either way.
 	dense *mat.Matrix
 }
 
 // newLemma4Cov returns an empty covariance for the given worker, its
 // per-triple slices drawn from ws (capacity for up to `capacity` triples);
 // triples are appended with add in the order they were formed.
-func newLemma4Cov(src pairSource, worker int, pPool float64, capacity int, ws *mat.Workspace) *Lemma4Cov {
+func newLemma4Cov(stats *solveStats, worker int, pPool float64, capacity int, ws *mat.Workspace) *Lemma4Cov {
 	ints := ws.GetInts(2 * capacity)
 	return &Lemma4Cov{
-		src:    src,
+		stats:  stats,
 		worker: worker,
 		pPool:  pPool,
 		diag:   ws.GetVec(capacity)[:0],
@@ -76,10 +76,10 @@ func (c *Lemma4Cov) entry(k1, k2 int) float64 {
 		k1, k2 = k2, k1
 	}
 	var v float64
-	v += c.d1[k1] * c.d1[k2] * lemma4C(c.src, c.worker, c.j1[k1], c.j1[k2], c.pPool)
-	v += c.d1[k1] * c.d2[k2] * lemma4C(c.src, c.worker, c.j1[k1], c.j2[k2], c.pPool)
-	v += c.d2[k1] * c.d1[k2] * lemma4C(c.src, c.worker, c.j2[k1], c.j1[k2], c.pPool)
-	v += c.d2[k1] * c.d2[k2] * lemma4C(c.src, c.worker, c.j2[k1], c.j2[k2], c.pPool)
+	v += c.d1[k1] * c.d1[k2] * c.stats.lemma4C(c.worker, c.j1[k1], c.j1[k2], c.pPool)
+	v += c.d1[k1] * c.d2[k2] * c.stats.lemma4C(c.worker, c.j1[k1], c.j2[k2], c.pPool)
+	v += c.d2[k1] * c.d1[k2] * c.stats.lemma4C(c.worker, c.j2[k1], c.j1[k2], c.pPool)
+	v += c.d2[k1] * c.d2[k2] * c.stats.lemma4C(c.worker, c.j2[k1], c.j2[k2], c.pPool)
 	return v
 }
 
@@ -87,7 +87,7 @@ func (c *Lemma4Cov) entry(k1, k2 int) float64 {
 // are generated on the fly (or read from the Materialize cache when the
 // weight solve already paid for them). The generate path walks only the
 // upper triangle, folding each symmetric pair in as 2·dᵢ·dⱼ·Σᵢⱼ, so every
-// entry — four popcount-backed cache lookups — is computed exactly once,
+// entry — four Lemma 4 terms — is computed exactly once,
 // matching the cost of the dense build it replaces. O(l²) time, zero
 // allocations; agrees with the dense accumulation order to roundoff
 // (≤ 1e-12 relative, tested).

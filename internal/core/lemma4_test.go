@@ -24,7 +24,7 @@ func buildLemma4(t testing.TB, seed int64, workers, tasks, worker int) *Lemma4Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := newFullStatsCache(ds)
+	cache := newSolveStats(newFullStatsCache(ds), workers, false, 1)
 	pairs := formPairs(cache, workers, worker, GreedyPairing, 1)
 	if len(pairs) == 0 {
 		t.Fatal("no pairs formed")
@@ -35,9 +35,9 @@ func buildLemma4(t testing.TB, seed int64, workers, tasks, worker int) *Lemma4Co
 	}
 	var entries []entry
 	var pPool float64
+	st := tripleStats{cov: mat.New(3, 3)}
 	for _, pr := range pairs {
-		st, err := newTripleStats(cache, worker, pr[0], pr[1])
-		if err != nil {
+		if err := st.compute(cache, worker, pr[0], pr[1]); err != nil {
 			continue
 		}
 		de, err := st.estimate(0)

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -132,16 +133,24 @@ var workspaces = sync.Pool{New: func() any { return mat.NewWorkspace() }}
 
 // solveMany is where every Algorithm A2 evaluation is solved: it runs
 // the listed workers against src on the given number of goroutines
-// (inline when it is 1). Goroutines claim indices from a shared counter, each solving with
-// its own pooled workspace; out[i] belongs to workers[i] and depends only
-// on src, so the result is identical at every goroutine count.
-func solveMany(src pairSource, m int, workers []int, opts EvalOptions, goroutines int) []WorkerDelta {
+// (inline when it is 1), through one solveStats per call, which carries a
+// triple table when the query covers at least a third of the crowd
+// (useTripleTable). Goroutines claim indices from a
+// shared counter, each solving with its own pooled workspace; out[i]
+// belongs to workers[i] and depends only on src, so the result is
+// identical at every goroutine count and with or without the table.
+func solveMany(src statsSource, m int, workers []int, opts EvalOptions, goroutines int) []WorkerDelta {
+	return solveWith(newSolveStats(src, m, useTripleTable(m, len(workers)), goroutines), workers, opts, goroutines)
+}
+
+// solveWith is solveMany over an already built view.
+func solveWith(v *solveStats, workers []int, opts EvalOptions, goroutines int) []WorkerDelta {
 	if opts.MinCommon <= 0 {
 		opts.MinCommon = 1
 	}
 	out := make([]WorkerDelta, len(workers))
 	var next atomic.Int64
-	solve := func() {
+	fanOut(goroutines, func() {
 		ws := workspaces.Get().(*mat.Workspace)
 		// Deferred so a panic in evaluateOne cannot leak the workspace;
 		// Reset first so the next user never receives a dirty arena.
@@ -150,30 +159,35 @@ func solveMany(src pairSource, m int, workers []int, opts EvalOptions, goroutine
 			workspaces.Put(ws)
 		}()
 		for i := int(next.Add(1)) - 1; i < len(workers); i = int(next.Add(1)) - 1 {
-			out[i] = evaluateOne(src, m, workers[i], opts, ws)
+			out[i] = evaluateOne(v, workers[i], opts, ws)
 		}
-	}
+	})
+	return out
+}
+
+// fanOut runs fn on the given number of goroutines, inline when it is 1,
+// and returns once every copy has.
+func fanOut(goroutines int, fn func()) {
 	if goroutines <= 1 {
-		solve()
-		return out
+		fn()
+		return
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			solve()
+			fn()
 		}()
 	}
 	wg.Wait()
-	return out
 }
 
 // evaluateWorkers is the validate-then-solve step behind every streaming
 // and accumulator query: it checks the confidence level and worker range,
 // then solves the listed workers against src over up to GOMAXPROCS
 // goroutines and converts each result to an interval.
-func evaluateWorkers(src pairSource, m int, workers []int, opts EvalOptions) ([]WorkerEstimate, error) {
+func evaluateWorkers(src statsSource, m int, workers []int, opts EvalOptions) ([]WorkerEstimate, error) {
 	if err := checkConfidence(opts.Confidence); err != nil {
 		return nil, err
 	}
@@ -186,7 +200,7 @@ func evaluateWorkers(src pairSource, m int, workers []int, opts EvalOptions) ([]
 }
 
 // evaluateWorker is evaluateWorkers for one worker, solved inline.
-func evaluateWorker(src pairSource, m, worker int, opts EvalOptions) (WorkerEstimate, error) {
+func evaluateWorker(src statsSource, m, worker int, opts EvalOptions) (WorkerEstimate, error) {
 	ests, err := evaluateWorkers(src, m, []int{worker}, opts)
 	if err != nil {
 		return WorkerEstimate{}, err
@@ -205,30 +219,31 @@ func allWorkers(m int) []int {
 
 // evaluateOne runs steps 1–3 of Algorithm A2 for a single worker, with
 // opts.MinCommon already defaulted. ws is the calling goroutine's scratch
-// workspace for the Lemma 5 weight solve; it is rewound here, so nothing
-// handed out by it may outlive the call.
-func evaluateOne(cache pairSource, m, i int, opts EvalOptions, ws *mat.Workspace) WorkerDelta {
+// workspace for the per-triple covariances and the Lemma 5 weight solve;
+// it is rewound here, so nothing handed out by it may outlive the call.
+func evaluateOne(v *solveStats, i int, opts EvalOptions, ws *mat.Workspace) WorkerDelta {
 	ws.Reset()
 	est := WorkerDelta{Worker: i}
-	pairs := formPairs(cache, m, i, opts.Pairing, opts.MinCommon)
+	pairs := formPairs(v, v.m, i, opts.Pairing, opts.MinCommon)
 	if len(pairs) == 0 {
 		est.Err = fmt.Errorf("core: worker %d has no usable triple: %w", i, ErrInsufficientData)
 		return est
 	}
 
-	// Step 2: per-triple statistics and delta estimates for worker i.
+	// Step 2: per-triple statistics and delta estimates for worker i. One
+	// tripleStats and its 3×3 covariance (workspace scratch) serve every
+	// triple in turn.
 	type tripleResult struct {
-		st    *tripleStats
 		est   DeltaEstimate
 		j1    int // partner workers
 		j2    int
 		dQij1 float64 // ∂p_i/∂q_{i,j1}
 		dQij2 float64 // ∂p_i/∂q_{i,j2}
 	}
-	var triples []tripleResult
+	triples := make([]tripleResult, 0, len(pairs))
+	st := tripleStats{cov: ws.Get(3, 3)}
 	for _, pr := range pairs {
-		st, err := newTripleStats(cache, i, pr[0], pr[1])
-		if err != nil {
+		if err := st.compute(v, i, pr[0], pr[1]); err != nil {
 			continue // degenerate triple: skip, as the 500-replicate harness does
 		}
 		de, err := st.estimate(0) // worker i sits at position 0 of the triple
@@ -236,7 +251,7 @@ func evaluateOne(cache pairSource, m, i int, opts EvalOptions, ws *mat.Workspace
 			continue
 		}
 		triples = append(triples, tripleResult{
-			st: st, est: de, j1: pr[0], j2: pr[1],
+			est: de, j1: pr[0], j2: pr[1],
 			// For triple (i, j1, j2): q-vector is (q_{i,j1}, q_{i,j2}, q_{j1,j2}),
 			// so worker i's own-pair derivatives are components 0 and 1.
 			dQij1: st.grad[0][0],
@@ -260,15 +275,16 @@ func evaluateOne(cache pairSource, m, i int, opts EvalOptions, ws *mat.Workspace
 
 	// Step 3: the l×l covariance of the triple estimates (Lemma 4), in
 	// structured form: entries are generated on demand from the per-triple
-	// gradients and the agreement cache, so nothing l×l is allocated per
-	// worker. Each Lemma-4 entry costs four popcount-backed cache lookups,
-	// so it should be computed at most once: the Lemma 5 solve below has to
-	// materialize the matrix anyway (into reusable workspace scratch), and
-	// when it does, the delta method reads that scratch rather than
-	// regenerating entries; with uniform weights (or a single triple) no
-	// matrix is ever built and the structured quadratic form is used
-	// directly. Both routes produce bit-identical entries.
-	cov := newLemma4Cov(cache, i, pPool, l, ws)
+	// gradients and v's flat pair arrays and triple counts, so nothing l×l
+	// is allocated per worker. Each entry still sums four Lemma 4 terms,
+	// each a triple count and three pair reads, so it is computed at most
+	// once: the Lemma 5 solve below has to materialize the matrix anyway
+	// (into reusable workspace scratch), and when it does, the delta method
+	// reads that scratch rather than regenerating entries; with uniform
+	// weights (or a single triple) no matrix is ever built and the
+	// structured quadratic form is used directly. Both routes produce
+	// bit-identical entries.
+	cov := newLemma4Cov(v, i, pPool, l, ws)
 	for _, tr := range triples {
 		cov.add(tr.est.Dev*tr.est.Dev, tr.dQij1, tr.j1, tr.dQij2, tr.j2)
 	}
@@ -307,33 +323,11 @@ func evaluateOne(cache pairSource, m, i int, opts EvalOptions, ws *mat.Workspace
 	return est
 }
 
-// lemma4C computes C(i, j, j′) of Lemma 4: the covariance between worker
-// i's agreement rates with j and with j′,
-//
-//	C(i, j, j′) = c_{i,j,j′} · p_i(1−p_i) · (2q_{j,j′}−1) / (c_{i,j}·c_{i,j′})
-//
-// For j = j′ this degenerates to Var(Q_{i,j}) which Lemma 4's diagonal case
-// already covers, but cross-triple sums never hit it since triples are
-// disjoint pairs.
-func lemma4C(cache pairSource, i, j, jp int, pI float64) float64 {
-	cij := cache.pair(i, j).Common
-	cijp := cache.pair(i, jp).Common
-	if cij == 0 || cijp == 0 {
-		return 0
-	}
-	c3 := cache.common3(i, j, jp)
-	if c3 == 0 {
-		return 0
-	}
-	qjjp := cache.pair(j, jp).Rate()
-	return float64(c3) * pI * (1 - pI) * (2*qjjp - 1) / (float64(cij) * float64(cijp))
-}
-
 // formPairs implements Step 1 of Algorithm A2: split the workers other than
 // i into pairs, each of which will join i to form a triple.
 func formPairs(cache pairSource, m, i int, strategy PairingStrategy, minCommon int) [][2]int {
 	// Candidates must share at least minCommon tasks with worker i.
-	var cands []int
+	cands := make([]int, 0, m-1)
 	for w := 0; w < m; w++ {
 		if w != i && cache.pair(i, w).Common >= minCommon {
 			cands = append(cands, w)
@@ -343,11 +337,11 @@ func formPairs(cache pairSource, m, i int, strategy PairingStrategy, minCommon i
 		// Descending by common-task count with worker i: the paper pairs the
 		// best-overlapping workers together so some triples are excellent
 		// (the weight optimization then exploits the quality spread).
-		sort.SliceStable(cands, func(a, b int) bool {
-			return cache.pair(i, cands[a]).Common > cache.pair(i, cands[b]).Common
+		slices.SortStableFunc(cands, func(a, b int) int {
+			return cmp.Compare(cache.pair(i, b).Common, cache.pair(i, a).Common)
 		})
 	}
-	var pairs [][2]int
+	pairs := make([][2]int, 0, len(cands)/2)
 	used := make([]bool, len(cands))
 	for a := 0; a < len(cands); a++ {
 		if used[a] {

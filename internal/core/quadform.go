@@ -18,8 +18,8 @@ import (
 // quadratic form in O(k³) time and O(1) extra memory instead of
 // materializing the O(k⁶) dense matrix. Lemma4Cov generates Algorithm A2's
 // l×l cross-triple covariance entry-by-entry from O(l + m) inputs (per-
-// triple gradients plus the pooled agreement cache), so the dense matrix is
-// never built on the A2 estimation path.
+// triple gradients plus the query's pair arrays and triple counts), so the
+// dense matrix is never built on the A2 estimation path.
 type CovQuadForm interface {
 	// Dim is the dimension of Σ (the required gradient length).
 	Dim() int

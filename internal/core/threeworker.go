@@ -22,7 +22,8 @@ type tripleStats struct {
 	p [3]float64
 	// grad[w] holds ∂p_w/∂(q_ab, q_ac, q_bc).
 	grad [3][3]float64
-	// cov is the 3×3 covariance of (Q_ab, Q_ac, Q_bc) per Lemma 3.
+	// cov is the 3×3 covariance of (Q_ab, Q_ac, Q_bc) per Lemma 3. It is
+	// the caller's matrix, overwritten by every compute.
 	cov *mat.Matrix
 }
 
@@ -37,9 +38,10 @@ var pairIndex = [3][3]int{
 }
 
 // pairSource provides pairwise agreement statistics and common-task counts.
-// Algorithm A2 uses a precomputed table (fullStatsCache) because its
-// covariance loops touch every pair repeatedly; the 3-worker entry point
-// reads the dataset directly.
+// Algorithm A2 reads them from a solveStats, built per query from a
+// statsSource (fullStatsCache for batch, streamStats for streaming),
+// because its covariance loops touch every pair repeatedly; the 3-worker
+// entry point reads the dataset directly.
 type pairSource interface {
 	pair(i, j int) crowd.PairStats
 	common3(i, j, k int) int
@@ -59,6 +61,7 @@ func newFullStatsCache(ds *crowd.Dataset) *fullStatsCache {
 
 func (c *fullStatsCache) pair(i, j int) crowd.PairStats { return c.pairs[i][j] }
 func (c *fullStatsCache) common3(i, j, k int) int       { return c.att.Common3(i, j, k) }
+func (c *fullStatsCache) attendance(w int) []uint64     { return c.att.Bitset(w) }
 
 // directSource computes statistics on demand, for one-shot triples.
 type directSource struct{ ds *crowd.Dataset }
@@ -66,16 +69,16 @@ type directSource struct{ ds *crowd.Dataset }
 func (d directSource) pair(i, j int) crowd.PairStats { return d.ds.Pair(i, j) }
 func (d directSource) common3(i, j, k int) int       { return d.ds.CommonTriple(i, j, k) }
 
-// newTripleStats computes the full statistics for workers (a, b, c).
-// It returns ErrInsufficientData when some pair shares no tasks and
-// ErrDegenerate when an agreement rate is at or below ½.
-func newTripleStats(src pairSource, a, b, c int) (*tripleStats, error) {
-	st := &tripleStats{}
+// compute fills st with the full statistics for workers (a, b, c),
+// overwriting every entry of st.cov, which must be 3×3. It returns
+// ErrInsufficientData when some pair shares no tasks and ErrDegenerate
+// when an agreement rate is at or below ½; st is then partly filled.
+func (st *tripleStats) compute(src pairSource, a, b, c int) error {
 	pairs := [3][2]int{{a, b}, {a, c}, {b, c}}
 	for i, pr := range pairs {
 		ps := src.pair(pr[0], pr[1])
 		if ps.Common == 0 {
-			return nil, fmt.Errorf("core: workers %d and %d share no tasks: %w", pr[0], pr[1], ErrInsufficientData)
+			return fmt.Errorf("core: workers %d and %d share no tasks: %w", pr[0], pr[1], ErrInsufficientData)
 		}
 		st.common[i] = ps.Common
 		st.q[i] = ps.Rate()
@@ -88,11 +91,11 @@ func newTripleStats(src pairSource, a, b, c int) (*tripleStats, error) {
 		own1, own2, opp := pairIndex[w][0], pairIndex[w][1], pairIndex[w][2]
 		p, err := fBinary(st.q[own1], st.q[own2], st.q[opp])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		d1, d2, dOpp, err := fBinaryGrad(st.q[own1], st.q[own2], st.q[opp])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		st.p[w] = p
 		st.grad[w][own1] = d1
@@ -103,7 +106,6 @@ func newTripleStats(src pairSource, a, b, c int) (*tripleStats, error) {
 	// Covariance matrix of (Q_ab, Q_ac, Q_bc) per Lemma 3. The shared worker
 	// of pairs (ab, ac) is a; of (ab, bc) is b; of (ac, bc) is c. The
 	// "other" agreement rate is the one not involving the shared worker.
-	st.cov = mat.New(3, 3)
 	for i := 0; i < 3; i++ {
 		st.cov.Set(i, i, pairVariance(st.q[i], st.common[i]))
 	}
@@ -118,7 +120,7 @@ func newTripleStats(src pairSource, a, b, c int) (*tripleStats, error) {
 		st.cov.Set(x.i, x.j, cv)
 		st.cov.Set(x.j, x.i, cv)
 	}
-	return st, nil
+	return nil
 }
 
 // estimate runs the delta method for worker w ∈ {0,1,2} of the triple.
@@ -139,8 +141,8 @@ func ThreeWorkerBinary(ds *crowd.Dataset, workers [3]int, c float64) ([3]stat.In
 	if err := checkConfidence(c); err != nil {
 		return out, err
 	}
-	st, err := newTripleStats(directSource{ds}, workers[0], workers[1], workers[2])
-	if err != nil {
+	st := tripleStats{cov: mat.New(3, 3)}
+	if err := st.compute(directSource{ds}, workers[0], workers[1], workers[2]); err != nil {
 		return out, err
 	}
 	for w := 0; w < 3; w++ {

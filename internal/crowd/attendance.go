@@ -60,6 +60,10 @@ func (a *Attendance) Count(w int) int {
 	return n
 }
 
+// Bitset returns worker w's attempted-task bitset, one bit per task. It
+// is the index's own storage: callers must not modify it.
+func (a *Attendance) Bitset(w int) []uint64 { return a.sets[w] }
+
 // Common2 returns c_{i,j}: tasks attempted by both workers.
 func (a *Attendance) Common2(i, j int) int {
 	bi, bj := a.sets[i], a.sets[j]
