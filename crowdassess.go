@@ -67,8 +67,19 @@ func NewDataset(workers, tasks, arity int) (*Dataset, error) {
 	return crowd.NewDataset(workers, tasks, arity)
 }
 
-// ReadDataset parses a JSON-encoded dataset (the format written by
-// Dataset.WriteTo).
+// ReadDataset parses a JSON-encoded dataset in the format Dataset.WriteTo
+// writes:
+//
+//	{"workers": 2, "tasks": 3, "arity": 2,
+//	 "responses": [[[0, 1], [2, 2]], [[1, 1]]],
+//	 "truth": [1, 0, 2]}
+//
+// responses holds one list of [task, response] pairs per worker, with
+// 0-based task indices and responses in 1…arity. truth is optional and,
+// when present, holds one gold answer per task (0 = unknown). Documents
+// are read exactly as encoding/json would read them into this schema
+// (case-insensitive keys, unknown keys skipped, integers only), in a
+// single pass.
 var ReadDataset = crowd.ReadDataset
 
 // ReadDatasetCSV parses the long CSV form (worker,task,response[,truth]

@@ -2,6 +2,7 @@ package crowd
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -111,4 +112,77 @@ func TestWriteCSVNoTruthColumn(t *testing.T) {
 	if strings.Contains(buf.String(), "truth") {
 		t.Errorf("truth column emitted for truthless dataset:\n%s", buf.String())
 	}
+}
+
+// FuzzReadCSV checks that ReadCSV never panics, and that whatever it
+// accepts survives WriteCSV and ReadCSV: every (worker ID, task ID) pair
+// keeps its response and truth. WriteCSV names worker and task i "w<i>"
+// and "t<i>", and may list tasks in a new order, so the two reads are
+// matched through their returned ID slices.
+func FuzzReadCSV(f *testing.F) {
+	for _, s := range []string{
+		"worker,task,response,truth\nalice,t1,1,1\nbob,t1,2,1\nalice,t2,2,\ncarol,t2,2,\n",
+		"w1,t1,1\nw2,t1,3\n",
+		"w1,t2,1\r\nw1,t1,2\r\nw2,t1,1,2\r\n",
+		"\"a,b\",\"t\n1\",2,2\n\"a\"\"\",t1,1\n",
+		"worker,task,response\nw1,t1,notanumber\n",
+		"w1,t1,1\nw1,t1,2\n",
+		"w1,t1,1,1\nw2,t1,1,2\n",
+		"w1,t1,9223372036854775807\n",
+		"w1,t1\n",
+		"",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Every record may add a worker and a task, so cap the records at
+		// 1<<10 to keep the workers×tasks matrix within 1<<20 cells.
+		if bytes.Count(data, []byte{'\n'}) >= 1<<10 {
+			return
+		}
+		ds, workers, tasks, err := ReadCSV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(workers) != ds.Workers() || len(tasks) != ds.Tasks() {
+			t.Fatalf("%d worker IDs and %d task IDs for a %d×%d dataset", len(workers), len(tasks), ds.Workers(), ds.Tasks())
+		}
+		var buf bytes.Buffer
+		if err := ds.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, backWorkers, backTasks, err := ReadCSV(&buf)
+		if err != nil {
+			t.Fatalf("written CSV does not parse: %v\n%s", err, buf.Bytes())
+		}
+		if back.Workers() != ds.Workers() || back.Tasks() != ds.Tasks() || back.Arity() != ds.Arity() {
+			t.Fatalf("round trip changed %d×%d arity %d to %d×%d arity %d",
+				ds.Workers(), ds.Tasks(), ds.Arity(), back.Workers(), back.Tasks(), back.Arity())
+		}
+		// index maps a written ID "<prefix><i>" back to i.
+		index := func(ids []string, prefix string) []int {
+			at := make([]int, len(ids))
+			for j, id := range ids {
+				i, err := strconv.Atoi(strings.TrimPrefix(id, prefix))
+				if err != nil || i < 0 || i >= len(ids) {
+					t.Fatalf("unexpected written ID %q", id)
+				}
+				at[i] = j
+			}
+			return at
+		}
+		bw, bt := index(backWorkers, "w"), index(backTasks, "t")
+		for w := range workers {
+			for tk := range tasks {
+				if got, want := back.Response(bw[w], bt[tk]), ds.Response(w, tk); got != want {
+					t.Fatalf("worker %q task %q: response %d after the round trip, want %d", workers[w], tasks[tk], got, want)
+				}
+			}
+		}
+		for tk := range tasks {
+			if got, want := back.Truth(bt[tk]), ds.Truth(tk); got != want {
+				t.Fatalf("task %q: truth %d after the round trip, want %d", tasks[tk], got, want)
+			}
+		}
+	})
 }

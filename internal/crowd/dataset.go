@@ -12,6 +12,7 @@ package crowd
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Response is a single worker answer: 0 (None) when the task was not
@@ -43,9 +44,10 @@ type Dataset struct {
 }
 
 // NewDataset returns an empty dataset for the given shape. Arity must be at
-// least 2; workers and tasks must be positive.
+// least 2; workers and tasks must be positive, and their product must fit
+// in an int.
 func NewDataset(workers, tasks, arity int) (*Dataset, error) {
-	if workers <= 0 || tasks <= 0 {
+	if workers <= 0 || tasks <= 0 || tasks > math.MaxInt/workers {
 		return nil, fmt.Errorf("crowd: invalid shape %d workers × %d tasks", workers, tasks)
 	}
 	if arity < 2 {

@@ -27,6 +27,17 @@ func TestNewDatasetValidation(t *testing.T) {
 	}
 }
 
+func TestNewDatasetRejectsOverflowingShape(t *testing.T) {
+	// 2^62 × 4 wraps to 0 cells: the dataset would look valid and then
+	// panic on its first SetResponse.
+	if _, err := NewDataset(1<<62, 4, 2); err == nil {
+		t.Error("accepted 2^62 workers × 4 tasks")
+	}
+	if _, err := NewDataset(3, math.MaxInt/2, 2); err == nil {
+		t.Error("accepted 3 × MaxInt/2 cells")
+	}
+}
+
 func TestSetGetResponse(t *testing.T) {
 	d := MustNewDataset(2, 3, 3)
 	if err := d.SetResponse(0, 1, 3); err != nil {
